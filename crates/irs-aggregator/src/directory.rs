@@ -9,7 +9,7 @@ use irs_core::freshness::FreshnessProof;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampToken;
-use irs_ledger::Ledger;
+use irs_ledger::ConcurrentLedger;
 use std::collections::HashMap;
 
 /// Access to the ledger ecosystem.
@@ -29,10 +29,10 @@ pub trait LedgerDirectory {
     fn proof(&mut self, id: RecordId, now: TimeMs) -> Option<FreshnessProof>;
 }
 
-/// In-process directory over owned [`Ledger`] instances.
+/// In-process directory over owned [`ConcurrentLedger`] instances.
 #[derive(Default)]
 pub struct LocalLedgers {
-    ledgers: HashMap<LedgerId, Ledger>,
+    ledgers: HashMap<LedgerId, ConcurrentLedger>,
 }
 
 impl LocalLedgers {
@@ -42,23 +42,13 @@ impl LocalLedgers {
     }
 
     /// Add a ledger.
-    pub fn add(&mut self, ledger: Ledger) {
+    pub fn add(&mut self, ledger: ConcurrentLedger) {
         self.ledgers.insert(ledger.id(), ledger);
     }
 
     /// Borrow a ledger.
-    pub fn get(&self, id: LedgerId) -> Option<&Ledger> {
+    pub fn get(&self, id: LedgerId) -> Option<&ConcurrentLedger> {
         self.ledgers.get(&id)
-    }
-
-    /// Borrow a ledger mutably.
-    pub fn get_mut(&mut self, id: LedgerId) -> Option<&mut Ledger> {
-        self.ledgers.get_mut(&id)
-    }
-
-    /// Iterate ledgers.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Ledger> {
-        self.ledgers.values_mut()
     }
 }
 
@@ -73,7 +63,11 @@ impl LedgerDirectory for LocalLedgers {
         request: ClaimRequest,
         now: TimeMs,
     ) -> Option<(RecordId, TimestampToken)> {
-        Some(self.ledgers.get_mut(&ledger)?.claim_custodial(request, now))
+        // A storage failure on a durable ledger reads as unreachable.
+        self.ledgers
+            .get(&ledger)?
+            .claim_custodial(request, now)
+            .ok()
     }
 
     fn proof(&mut self, id: RecordId, now: TimeMs) -> Option<FreshnessProof> {
@@ -93,8 +87,16 @@ mod tests {
     fn directory() -> LocalLedgers {
         let tsa = TimestampAuthority::from_seed(1);
         let mut d = LocalLedgers::new();
-        d.add(Ledger::new(LedgerConfig::new(LedgerId(1)), tsa.clone()));
-        d.add(Ledger::new(LedgerConfig::new(LedgerId(2)), tsa));
+        d.add(ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(1)),
+            tsa.clone(),
+            1,
+        ));
+        d.add(ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(2)),
+            tsa,
+            1,
+        ));
         d
     }
 

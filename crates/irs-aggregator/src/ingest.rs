@@ -381,13 +381,21 @@ mod tests {
     use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Response};
     use irs_imaging::manipulate::Manipulation;
-    use irs_ledger::{Ledger, LedgerConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
     fn setup() -> (Aggregator, LocalLedgers) {
         let tsa = TimestampAuthority::from_seed(1);
         let mut ledgers = LocalLedgers::new();
-        ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(0)), tsa.clone()));
-        ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(1)), tsa));
+        ledgers.add(ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(0)),
+            tsa.clone(),
+            1,
+        ));
+        ledgers.add(ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(1)),
+            tsa,
+            1,
+        ));
         (Aggregator::new(AggregatorConfig::default()), ledgers)
     }
 
@@ -399,7 +407,7 @@ mod tests {
     ) -> (PhotoFile, RecordId, Keypair) {
         let mut cam = Camera::new(cam_seed, 256, 256);
         let shot = cam.capture(100);
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(100))
         else {
             panic!("claim failed");
@@ -487,7 +495,7 @@ mod tests {
             .unwrap();
         let rv = irs_core::claim::RevokeRequest::create(&keypair, id, true, epoch);
         ledgers
-            .get_mut(LedgerId(1))
+            .get(LedgerId(1))
             .unwrap()
             .handle(Request::Revoke(rv), TimeMs(2_000));
         // Too early: interval not elapsed.
@@ -506,7 +514,7 @@ mod tests {
             .unwrap();
         let unrv = irs_core::claim::RevokeRequest::create(&keypair, id, false, epoch);
         ledgers
-            .get_mut(LedgerId(1))
+            .get(LedgerId(1))
             .unwrap()
             .handle(Request::Revoke(unrv), TimeMs(3_000));
         let r2 = agg.recheck(&mut ledgers, TimeMs(1_000 + 2 * 3_600_000));
@@ -539,7 +547,7 @@ mod tests {
         let mut attacker_photo = PhotoFile::new(attacker_image);
         let attacker_kp = Keypair::from_seed(&[77u8; 32]);
         let claim = ClaimRequest::create(&attacker_kp, &attacker_photo.digest());
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed {
             id: attacker_id, ..
         } = ledger.handle(Request::Claim(claim), TimeMs(2_000))
@@ -562,7 +570,7 @@ mod tests {
         let mut cam = Camera::new(60, 256, 256);
         let shot = cam.capture(100);
         let camera_kp = shot.keypair.clone();
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(100))
         else {
             panic!("claim failed");
@@ -588,7 +596,7 @@ mod tests {
         let (_, epoch) = ledgers.query(id, TimeMs(301)).unwrap();
         let rv = irs_core::claim::RevokeRequest::create(&camera_kp, id, true, epoch);
         ledgers
-            .get_mut(LedgerId(1))
+            .get(LedgerId(1))
             .unwrap()
             .handle(Request::Revoke(rv), TimeMs(400));
         let report = agg.recheck(&mut ledgers, TimeMs(300 + 3_600_000));

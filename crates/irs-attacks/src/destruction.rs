@@ -74,12 +74,12 @@ mod tests {
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Response};
-    use irs_ledger::{Ledger, LedgerConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
     fn labeled_photo(ledgers: &mut LocalLedgers) -> PhotoFile {
         let mut cam = Camera::new(21, 256, 256);
         let shot = cam.capture(100);
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(100))
         else {
             panic!("claim failed");
@@ -92,8 +92,16 @@ mod tests {
     fn setup() -> (LocalLedgers, Aggregator) {
         let tsa = TimestampAuthority::from_seed(1);
         let mut ledgers = LocalLedgers::new();
-        ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(0)), tsa.clone()));
-        ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(1)), tsa));
+        ledgers.add(ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(0)),
+            tsa.clone(),
+            1,
+        ));
+        ledgers.add(ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(1)),
+            tsa,
+            1,
+        ));
         // Disable custodial claiming so unlabeled attack results are
         // visible as rejections (strict-policy aggregator).
         let agg = Aggregator::new(AggregatorConfig {
@@ -163,8 +171,16 @@ mod tests {
         // which is what enables a later appeal takedown.
         let tsa = TimestampAuthority::from_seed(2);
         let mut ledgers = LocalLedgers::new();
-        ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(0)), tsa.clone()));
-        ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(1)), tsa));
+        ledgers.add(ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(0)),
+            tsa.clone(),
+            1,
+        ));
+        ledgers.add(ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(1)),
+            tsa,
+            1,
+        ));
         let mut agg = Aggregator::new(AggregatorConfig {
             custodial_claiming: true,
             derivative_check: false,

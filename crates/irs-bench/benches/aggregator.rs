@@ -9,16 +9,24 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_imaging::watermark::WatermarkConfig;
-use irs_ledger::{Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
 fn setup() -> (LocalLedgers, irs_core::photo::PhotoFile) {
     let tsa = TimestampAuthority::from_seed(1);
     let mut ledgers = LocalLedgers::new();
-    ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(0)), tsa.clone()));
-    ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(1)), tsa));
+    ledgers.add(ConcurrentLedger::with_shards(
+        LedgerConfig::new(LedgerId(0)),
+        tsa.clone(),
+        1,
+    ));
+    ledgers.add(ConcurrentLedger::with_shards(
+        LedgerConfig::new(LedgerId(1)),
+        tsa,
+        1,
+    ));
     let mut cam = Camera::new(1, 256, 256);
     let shot = cam.capture(0);
-    let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+    let ledger = ledgers.get(LedgerId(1)).unwrap();
     let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(0)) else {
         panic!("claim failed");
     };

@@ -9,7 +9,7 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
-use irs_ledger::{ConcurrentLedger, Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 use irs_proxy::{ProxyConfig, SharedProxy};
 use parking_lot::Mutex;
 use std::sync::Barrier;
@@ -18,10 +18,11 @@ const RECORDS: u64 = 10_000;
 const QUERIES_PER_THREAD: u64 = 2_000;
 const THREADS: usize = 4;
 
-fn preloaded_pair() -> (Mutex<Ledger>, ConcurrentLedger) {
-    let mut seq = Ledger::new(
+fn preloaded_pair() -> (Mutex<ConcurrentLedger>, ConcurrentLedger) {
+    let seq = ConcurrentLedger::with_shards(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(7),
+        1,
     );
     let conc = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),

@@ -6,17 +6,16 @@ use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 
-fn proxy_with(revoked: u64, population: u64) -> IrsProxy {
+fn proxy_with(revoked: u64, population: u64) -> SharedProxy {
     let mut filter = BloomFilter::for_capacity(population, 0.02).unwrap();
     for i in 0..revoked {
         filter.insert(RecordId::new(LedgerId(0), i).filter_key());
     }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
     proxy
-        .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .update_filters(|fs| fs.apply_full(LedgerId(0), 1, filter.to_bytes()))
         .unwrap();
     proxy
 }
@@ -26,7 +25,7 @@ fn bench_lookup(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
 
     // Filter-negative path (the common case).
-    let mut proxy = proxy_with(10_000, 1_000_000);
+    let proxy = proxy_with(10_000, 1_000_000);
     let mut serial = 1_000_000u64;
     group.bench_function("filter_negative", |b| {
         b.iter(|| {
@@ -36,7 +35,7 @@ fn bench_lookup(c: &mut Criterion) {
     });
 
     // Cache-hit path.
-    let mut proxy = proxy_with(10_000, 1_000_000);
+    let proxy = proxy_with(10_000, 1_000_000);
     let hot = RecordId::new(LedgerId(0), 5);
     proxy.lookup(hot, TimeMs(0));
     proxy.complete(hot, RevocationStatus::NotRevoked, TimeMs(0));

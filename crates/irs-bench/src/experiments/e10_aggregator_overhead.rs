@@ -14,20 +14,28 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_imaging::watermark::WatermarkConfig;
-use irs_ledger::{Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 use std::time::Instant;
 
 fn setup(n_uploads: usize) -> (LocalLedgers, Vec<irs_core::photo::PhotoFile>) {
     let tsa = TimestampAuthority::from_seed(10);
     let mut ledgers = LocalLedgers::new();
-    ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(0)), tsa.clone()));
-    ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(1)), tsa));
+    ledgers.add(ConcurrentLedger::with_shards(
+        LedgerConfig::new(LedgerId(0)),
+        tsa.clone(),
+        1,
+    ));
+    ledgers.add(ConcurrentLedger::with_shards(
+        LedgerConfig::new(LedgerId(1)),
+        tsa,
+        1,
+    ));
     let mut cam = Camera::new(0xE10, 256, 256);
     let wm = WatermarkConfig::default();
     let mut photos = Vec::new();
     for i in 0..n_uploads {
         let shot = cam.capture(i as u64);
-        let ledger = ledgers.get_mut(LedgerId(1)).unwrap();
+        let ledger = ledgers.get(LedgerId(1)).unwrap();
         let Response::Claimed { id, .. } =
             ledger.handle(Request::Claim(shot.claim), TimeMs(i as u64))
         else {

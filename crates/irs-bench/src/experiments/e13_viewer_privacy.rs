@@ -11,7 +11,7 @@ use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
 use irs_proxy::privacy::{analyze, anonymity_set_size, LedgerLogEntry};
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
 use irs_workload::trace::{generate, ViewTraceConfig};
 
@@ -57,7 +57,7 @@ pub fn run(quick: bool) -> String {
 
     // Deployment C: proxied + revoked-set filter + cache — only filter
     // hits reach the ledger.
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
     let mut filter = BloomFilter::for_capacity(population.total(), 0.02).unwrap();
     for meta in population.iter() {
         if meta.revoked {
@@ -65,8 +65,7 @@ pub fn run(quick: bool) -> String {
         }
     }
     proxy
-        .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .update_filters(|fs| fs.apply_full(LedgerId(0), 1, filter.to_bytes()))
         .unwrap();
     let mut filtered_log = Vec::new();
     for e in &trace {

@@ -11,7 +11,7 @@ use irs_core::claim::RevocationStatus;
 use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 use irs_simnet::latency::profiles;
 use irs_simnet::Histogram;
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
@@ -42,7 +42,7 @@ pub fn run(quick: bool) -> String {
     // (b) proxied, no filter (cache only).
     let mut proxied = Histogram::new();
     {
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
+        let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
         for i in 0..checks {
             let meta = population.public_photo_by_rank(zipf.sample(&mut rng) as u64);
             let base = to_proxy.rtt(&mut rng);
@@ -69,7 +69,7 @@ pub fn run(quick: bool) -> String {
     let mut filtered = Histogram::new();
     let filtered_stats;
     {
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
+        let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
         let mut filter = BloomFilter::for_capacity(population.total(), 0.02).unwrap();
         for meta in population.iter() {
             if meta.revoked {
@@ -77,8 +77,7 @@ pub fn run(quick: bool) -> String {
             }
         }
         proxy
-            .filters
-            .apply_full(LedgerId(0), 1, filter.to_bytes())
+            .update_filters(|fs| fs.apply_full(LedgerId(0), 1, filter.to_bytes()))
             .unwrap();
         for i in 0..checks {
             let meta = population.public_photo_by_rank(zipf.sample(&mut rng) as u64);
@@ -100,7 +99,7 @@ pub fn run(quick: bool) -> String {
             };
             filtered.record(latency);
         }
-        filtered_stats = proxy.stats;
+        filtered_stats = proxy.stats();
     }
 
     let mut table = Table::new(

@@ -1,7 +1,7 @@
 //! E15 — thread scaling of the validate path: global-mutex baseline vs
 //! the sharded concurrent ledger.
 //!
-//! The §4.3 prototype's server originally held one `Mutex<Ledger>`
+//! The §4.3 prototype's server originally held one whole-ledger mutex
 //! across every request, so connection threads serialized even for pure
 //! status queries. The concurrent tier ([`ConcurrentLedger`], DESIGN.md
 //! "Concurrency architecture") makes the whole request path `&self`:
@@ -18,7 +18,7 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
-use irs_ledger::{ConcurrentLedger, Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -28,7 +28,7 @@ pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Preload both ledgers with `records` claims (every 50th revoked at
 /// claim time, mirroring the ~2 % revoked-set density used elsewhere).
-fn preload(seq: &mut Ledger, conc: &ConcurrentLedger, records: u64) {
+fn preload(seq: &ConcurrentLedger, conc: &ConcurrentLedger, records: u64) {
     let keypair = Keypair::from_seed(&[0xE1; 32]);
     for i in 0..records {
         let digest = Digest::of(&i.to_le_bytes());
@@ -36,9 +36,11 @@ fn preload(seq: &mut Ledger, conc: &ConcurrentLedger, records: u64) {
         // ClaimRequest is Copy: the same request feeds both ledgers.
         let req = ClaimRequest::create(&keypair, &digest);
         if revoked {
-            seq.claim_revoked(req, TimeMs(i));
-            conc.claim_revoked(req, TimeMs(i))
-                .expect("in-memory ledger cannot fail a claim");
+            for ledger in [seq, conc] {
+                ledger
+                    .claim_revoked(req, TimeMs(i))
+                    .expect("in-memory ledger cannot fail a claim");
+            }
         } else {
             seq.handle(Request::Claim(req), TimeMs(i));
             conc.handle(Request::Claim(req), TimeMs(i));
@@ -113,15 +115,16 @@ fn measure(
 /// `(mutex_ops_per_s, sharded_ops_per_s)`. Exposed for the regression
 /// test and the CI quick run.
 pub fn measure_pair(threads: usize, ops_per_thread: u64, records: u64) -> (f64, f64) {
-    let mut seq = Ledger::new(
+    let seq = ConcurrentLedger::with_shards(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(0xE15),
+        1,
     );
     let conc = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(0xE15),
     );
-    preload(&mut seq, &conc, records);
+    preload(&seq, &conc, records);
     let seq = Mutex::new(seq);
     let mutex_ops = measure(threads, ops_per_thread, records, &|req| {
         seq.lock().handle(req, TimeMs(1_000_000))
@@ -160,8 +163,9 @@ pub fn run(quick: bool) -> String {
          thread; every {PROOF_EVERY}th validation fetches a signed freshness proof"
     ));
     table.note(
-        "baseline holds one Mutex<Ledger> across each request (the pre-concurrency \
-         server design); sharded is ConcurrentLedger with 16 record stripes",
+        "baseline holds one mutex around a one-stripe ledger across each request \
+         (the pre-concurrency server design); sharded is ConcurrentLedger with 16 \
+         record stripes",
     );
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -29,7 +29,7 @@ use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
-use irs_ledger::{Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 use irs_net::chaos::{ChaosConfig, ChaosProxy};
 use irs_net::proxy_server::ProxyServer;
 use irs_net::refresh::refresh_shared_filter;
@@ -108,7 +108,7 @@ const RECORDS: u64 = 24;
 /// the run. Deterministic in `seed` up to socket-timing noise.
 pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> Availability {
     // Ledger with RECORDS revoked claims and a published filter.
-    let mut ledger = Ledger::new(
+    let ledger = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(seed),
     );
@@ -119,11 +119,14 @@ pub fn measure(kind: PolicyKind, fault_rate: f64, queries: usize, seed: u64) -> 
             &keypair,
             &irs_crypto::Digest::of(&i.to_le_bytes()),
         );
-        let (id, _) = ledger.claim_revoked(claim, TimeMs(i));
+        let (id, _) = ledger
+            .claim_revoked(claim, TimeMs(i))
+            .expect("in-memory ledger cannot fail a claim");
         ids.push(id);
     }
     ledger.publish_filter();
-    let ledger_server = irs_net::LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+    let ledger_server =
+        irs_net::LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
 
     // Chaos sits only on the proxy→ledger leg; the browser→proxy leg is
     // clean (the proxy is the component whose resilience is under test).

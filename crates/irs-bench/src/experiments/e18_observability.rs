@@ -24,7 +24,7 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_filters::BloomFilter;
-use irs_ledger::{ConcurrentLedger, Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 use irs_net::ledger_server::LedgerServer;
 use irs_net::resilient::RetryPolicy;
 use irs_net::service::{stacks, BoxService, CallCtx, Service};
@@ -198,7 +198,7 @@ struct Rig {
 }
 
 fn build_rig(records: u64) -> Rig {
-    let mut ledger = Ledger::new(
+    let ledger = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(0xE18),
     );
@@ -207,7 +207,10 @@ fn build_rig(records: u64) -> Rig {
     for i in 0..records {
         let req = ClaimRequest::create(&keypair, &Digest::of(&i.to_le_bytes()));
         let id = if i % 50 == 0 {
-            ledger.claim_revoked(req, TimeMs(i)).0
+            ledger
+                .claim_revoked(req, TimeMs(i))
+                .expect("in-memory ledger cannot fail a claim")
+                .0
         } else {
             match ledger.handle(Request::Claim(req), TimeMs(i)) {
                 Response::Claimed { id, .. } => id,
@@ -216,7 +219,8 @@ fn build_rig(records: u64) -> Rig {
         };
         filter.insert(id.filter_key());
     }
-    let server = LedgerServer::start(ledger, "127.0.0.1:0").expect("bind loopback");
+    let server =
+        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").expect("bind loopback");
     let proxy = Arc::new(SharedProxy::new(ProxyConfig {
         cache_capacity: 1024,
         // A zero TTL keeps the workload honest: cached answers expire as

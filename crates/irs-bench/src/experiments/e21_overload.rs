@@ -43,7 +43,7 @@ use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::{Clock, SystemClock};
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response, Wire};
-use irs_ledger::{Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 use irs_net::proxy_server::ProxyServer;
 use irs_net::refresh::refresh_shared_filter;
 use irs_net::resilient::RetryPolicy;
@@ -261,7 +261,7 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
     // Ledger: rank 0 (the famous photo) claimed *unrevoked* — cheap
     // filter-negative validations pre-storm — every other rank claimed
     // revoked so its queries walk the upstream path continuously.
-    let mut ledger = Ledger::new(
+    let ledger = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(seed),
     );
@@ -274,11 +274,12 @@ pub fn measure(defense: Defense, quick: bool, seed: u64) -> StormOutcome {
             ledger.claim_custodial(claim, irs_core::time::TimeMs(1))
         } else {
             ledger.claim_revoked(claim, irs_core::time::TimeMs(1 + i as u64))
-        };
+        }
+        .expect("in-memory ledger cannot fail a claim");
         ids.push(id);
     }
     ledger.publish_filter();
-    let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+    let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
     let hot_id = ids[0];
 
     // Proxy: 1 ms cache TTL forces nearly every validation upstream

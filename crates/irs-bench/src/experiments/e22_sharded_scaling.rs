@@ -34,7 +34,7 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{
-    ChaosDisk, ChaosDiskConfig, Disk, DurabilityConfig, Follower, FsyncPolicy, Ledger,
+    ChaosDisk, ChaosDiskConfig, ConcurrentLedger, Disk, DurabilityConfig, Follower, FsyncPolicy,
     LedgerConfig, ReplicationPolicy, SegmentData, ShardDirectory, ShardMap, ShardSpec,
 };
 use irs_net::resilient::RetryPolicy;
@@ -74,12 +74,12 @@ const DRIVERS: usize = 16;
 /// with fixed service latency — the latency-bound profile of a
 /// fsync-limited primary, minus the disk.
 struct PacedShard {
-    ledger: Mutex<Ledger>,
+    ledger: Mutex<ConcurrentLedger>,
 }
 
 impl Service for PacedShard {
     fn call(&self, request: Request, _ctx: &CallCtx) -> Result<Response, NetError> {
-        let mut ledger = self.ledger.lock();
+        let ledger = self.ledger.lock();
         std::thread::sleep(SERVICE_TIME);
         Ok(ledger.handle(request, SystemClock.now()))
     }
@@ -114,9 +114,10 @@ pub fn scale_point(shards: usize, quick: bool, seed: u64) -> ScalePoint {
     let map = ShardMap::new(1, specs).expect("valid map");
     let backends: std::collections::HashMap<LedgerId, Arc<PacedShard>> = (1..=shards as u16)
         .map(|i| {
-            let ledger = Ledger::new(
+            let ledger = ConcurrentLedger::with_shards(
                 LedgerConfig::new(LedgerId(i)),
                 TimestampAuthority::from_seed(seed ^ u64::from(i)),
+                1,
             );
             (
                 LedgerId(i),
@@ -260,11 +261,11 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
     let follower_server = LedgerServer::start_shared(follower.ledger(), "127.0.0.1:0").unwrap();
 
     // Shard 2: a plain single-replica shard.
-    let shard2 = LedgerServer::start(
-        Ledger::new(
+    let shard2 = LedgerServer::start_shared(
+        Arc::new(ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(2)),
             TimestampAuthority::from_seed(seed ^ 0x22),
-        ),
+        )),
         "127.0.0.1:0",
     )
     .unwrap();

@@ -15,14 +15,15 @@ use irs_core::ids::LedgerId;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::Request;
 use irs_filters::BloomFilter;
-use irs_ledger::{Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 use irs_net::{LedgerClient, LedgerServer, ProxyServer};
-use irs_proxy::{IrsProxy, ProxyConfig};
+use irs_proxy::{ProxyConfig, SharedProxy};
 use irs_simnet::{LatencyModel, Link};
 use irs_workload::population::{PhotoMeta, PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Check service backed by a live TCP connection to the proxy.
 struct LiveChecks {
@@ -58,10 +59,10 @@ pub fn run(quick: bool) -> String {
 
     // Live infrastructure. The ledger knows the population's revoked
     // records (it answers queries straight from the population function).
-    let mut ledger = Ledger::new(
+    let ledger = Arc::new(ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(0)),
         TimestampAuthority::from_seed(3),
-    );
+    ));
     // Pre-claim the *viewed* portion so wire queries resolve. (The status
     // the prototype returns doesn't affect latency; claiming a sample is
     // enough for realism.)
@@ -72,20 +73,19 @@ pub fn run(quick: bool) -> String {
             ledger.handle(Request::Claim(shot.claim), irs_core::time::TimeMs(i));
         }
     }
-    let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").expect("ledger server");
+    let ledger_server = LedgerServer::start_shared(ledger, "127.0.0.1:0").expect("ledger server");
     let mut filter = BloomFilter::for_capacity(20_000, 0.02).expect("filter");
     for meta in population.iter() {
         if meta.revoked {
             filter.insert(meta.id.filter_key());
         }
     }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
     proxy
-        .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .update_filters(|fs| fs.apply_full(LedgerId(0), 1, filter.to_bytes()))
         .expect("install");
-    let proxy_server =
-        ProxyServer::start(proxy, "127.0.0.1:0", ledger_server.addr()).expect("proxy server");
+    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr())
+        .expect("proxy server");
 
     let config = ScrollConfig {
         viewports,

@@ -17,7 +17,7 @@ use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::analysis;
 use irs_filters::{BloomFilter, Filter};
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
 use rand::rngs::StdRng;
@@ -99,13 +99,15 @@ pub fn run(quick: bool) -> String {
     for &key in &revoked {
         filter.insert(key);
     }
-    let mut proxy = IrsProxy::new(ProxyConfig {
-        cache_capacity: 10_000,
-        cache_ttl_ms: 3_600_000,
-    });
+    let proxy = SharedProxy::with_shards(
+        ProxyConfig {
+            cache_capacity: 10_000,
+            cache_ttl_ms: 3_600_000,
+        },
+        1,
+    );
     proxy
-        .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .update_filters(|fs| fs.apply_full(LedgerId(0), 1, filter.to_bytes()))
         .expect("install");
     let zipf = Zipf::new(population.public_count() as usize, 0.9);
     let mut rng = StdRng::seed_from_u64(0xE4);
@@ -121,7 +123,7 @@ pub fn run(quick: bool) -> String {
             proxy.complete(meta.id, status, TimeMs(i));
         }
     }
-    let s = proxy.stats;
+    let s = proxy.stats();
     table.note(format!(
         "end-to-end proxy run: {} views → {} ledger queries = {}× reduction \
          (filter answered {}, cache {})",

@@ -13,14 +13,14 @@ use irs_core::claim::RevocationStatus;
 use irs_core::ids::LedgerId;
 use irs_core::time::TimeMs;
 use irs_filters::BloomFilter;
-use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 use irs_workload::population::{PhotoPopulation, PopulationConfig};
 use irs_workload::samplers::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn run_trace(
-    proxy: &mut IrsProxy,
+    proxy: &SharedProxy,
     population: &PhotoPopulation,
     zipf: &Zipf,
     views: u64,
@@ -64,12 +64,15 @@ pub fn run(quick: bool) -> String {
         let mut cells = vec![format!("{theta}")];
         for frac in [0.001f64, 0.01, 0.1, 1.0] {
             let capacity = ((public as f64 * frac) as usize).max(1);
-            let mut proxy = IrsProxy::new(ProxyConfig {
-                cache_capacity: capacity,
-                cache_ttl_ms: u64::MAX / 4,
-            });
-            run_trace(&mut proxy, &population, &zipf, views, 0xE5);
-            cells.push(pct(proxy.stats.ledger_query_fraction()));
+            let proxy = SharedProxy::with_shards(
+                ProxyConfig {
+                    cache_capacity: capacity,
+                    cache_ttl_ms: u64::MAX / 4,
+                },
+                1,
+            );
+            run_trace(&proxy, &population, &zipf, views, 0xE5);
+            cells.push(pct(proxy.stats().ledger_query_fraction()));
         }
         table.row(cells);
     }
@@ -77,10 +80,13 @@ pub fn run(quick: bool) -> String {
 
     // Combined: filter + 1% cache at θ=0.9.
     let zipf = Zipf::new(public as usize, 0.9);
-    let mut proxy = IrsProxy::new(ProxyConfig {
-        cache_capacity: (public / 100).max(1) as usize,
-        cache_ttl_ms: u64::MAX / 4,
-    });
+    let proxy = SharedProxy::with_shards(
+        ProxyConfig {
+            cache_capacity: (public / 100).max(1) as usize,
+            cache_ttl_ms: u64::MAX / 4,
+        },
+        1,
+    );
     let mut filter = BloomFilter::for_capacity(population.total(), 0.02).expect("filter");
     for meta in population.iter() {
         if meta.revoked {
@@ -88,11 +94,10 @@ pub fn run(quick: bool) -> String {
         }
     }
     proxy
-        .filters
-        .apply_full(LedgerId(0), 1, filter.to_bytes())
+        .update_filters(|fs| fs.apply_full(LedgerId(0), 1, filter.to_bytes()))
         .expect("install");
-    run_trace(&mut proxy, &population, &zipf, views, 0xE5);
-    let s = proxy.stats;
+    run_trace(&proxy, &population, &zipf, views, 0xE5);
+    let s = proxy.stats();
     table.note(format!(
         "filter + 1% cache @ θ=0.9: {} of views reach the ledger ({}× reduction)",
         pct(s.ledger_query_fraction()),

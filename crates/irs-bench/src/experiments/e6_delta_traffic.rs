@@ -14,8 +14,7 @@ use irs_core::time::TimeMs;
 use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
-use irs_ledger::service::{FilterPublisher, FilterUpdate};
-use irs_ledger::{Ledger, LedgerConfig};
+use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
 /// Run E6.
 pub fn run(quick: bool) -> String {
@@ -34,7 +33,7 @@ pub fn run(quick: bool) -> String {
     for churn in [10u64, 100, 1_000, 10_000] {
         let mut cfg = LedgerConfig::new(LedgerId(1));
         cfg.filter_capacity = base_population;
-        let mut ledger = Ledger::new(cfg, TimestampAuthority::from_seed(6));
+        let ledger = ConcurrentLedger::with_shards(cfg, TimestampAuthority::from_seed(6), 1);
         // Baseline population: claims with an initial revoked cohort so
         // the filter is realistically loaded.
         let mut keypairs: Vec<(irs_core::ids::RecordId, Keypair)> = Vec::new();
@@ -56,10 +55,12 @@ pub fn run(quick: bool) -> String {
                 keypairs.push((id, kp));
             }
         }
-        let mut publisher = FilterPublisher::new();
-        let first = publisher.publish(&mut ledger);
-        let FilterUpdate::Full { .. } = first else {
-            panic!("first publish must be full");
+        // The first publication ships full; subscribers then hold it.
+        let version = ledger.publish_filter();
+        let Response::FilterFull { .. } =
+            ledger.handle(Request::GetFilter { have_version: 0 }, TimeMs(999_998))
+        else {
+            panic!("first fetch must be full");
         };
         // One hour of churn: `churn` fresh revocations.
         for (id, kp) in keypairs.iter().take(churn as usize) {
@@ -67,10 +68,19 @@ pub fn run(quick: bool) -> String {
             let rv = RevokeRequest::create(kp, *id, true, epoch);
             ledger.handle(Request::Revoke(rv), TimeMs(999_999));
         }
-        match publisher.publish(&mut ledger) {
-            FilterUpdate::Delta {
-                data, full_bytes, ..
-            } => {
+        ledger.publish_filter();
+        let full_bytes = ledger
+            .published_filter()
+            .expect("published")
+            .to_bytes()
+            .len();
+        match ledger.handle(
+            Request::GetFilter {
+                have_version: version,
+            },
+            TimeMs(999_999),
+        ) {
+            Response::FilterDelta { data, .. } => {
                 table.row(vec![
                     format!("{churn}"),
                     bytes_h(full_bytes as u64),

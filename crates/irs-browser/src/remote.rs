@@ -230,7 +230,7 @@ mod tests {
         use irs_core::tsa::TimestampAuthority;
         use irs_crypto::{Digest, Keypair};
         use irs_filters::BloomFilter;
-        use irs_ledger::{Ledger, LedgerConfig};
+        use irs_ledger::{ConcurrentLedger, LedgerConfig};
         use irs_net::resilient::RetryPolicy;
         use irs_net::{LedgerClient, LedgerServer};
         use irs_proxy::{ProxyConfig, SharedProxy};
@@ -238,11 +238,11 @@ mod tests {
 
         // A live ledger with one revoked record, fronted by the same
         // retrying upstream stack the proxy composes.
-        let ledger = Ledger::new(
+        let ledger = Arc::new(ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(0xB10),
-        );
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        ));
+        let server = LedgerServer::start_shared(ledger, "127.0.0.1:0").unwrap();
         let mut owner = LedgerClient::connect(server.addr()).unwrap();
         let kp = Keypair::from_seed(&[5u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"browser-pic"));

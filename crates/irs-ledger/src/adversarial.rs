@@ -5,7 +5,7 @@
 //! a photo, etc.)". [`AdversarialLedger`] wraps an honest ledger with a
 //! fault policy; [`crate::probe::Prober`] is the detection countermeasure.
 
-use crate::service::Ledger;
+use crate::concurrent::ConcurrentLedger;
 use irs_core::claim::RevocationStatus;
 use irs_core::time::TimeMs;
 use irs_core::wire::{Request, Response};
@@ -36,7 +36,7 @@ pub enum Misbehavior {
 
 /// An honest ledger wrapped with a misbehavior policy.
 pub struct AdversarialLedger {
-    inner: Ledger,
+    inner: ConcurrentLedger,
     misbehavior: Misbehavior,
     /// (record serial → (status, effective_at)) history for Stale mode.
     history: Vec<(u64, RevocationStatus, TimeMs)>,
@@ -45,7 +45,7 @@ pub struct AdversarialLedger {
 
 impl AdversarialLedger {
     /// Wrap a ledger.
-    pub fn new(inner: Ledger, misbehavior: Misbehavior) -> AdversarialLedger {
+    pub fn new(inner: ConcurrentLedger, misbehavior: Misbehavior) -> AdversarialLedger {
         AdversarialLedger {
             inner,
             misbehavior,
@@ -55,13 +55,8 @@ impl AdversarialLedger {
     }
 
     /// The wrapped honest ledger.
-    pub fn inner(&self) -> &Ledger {
+    pub fn inner(&self) -> &ConcurrentLedger {
         &self.inner
-    }
-
-    /// Mutable access (setup paths).
-    pub fn inner_mut(&mut self) -> &mut Ledger {
-        &mut self.inner
     }
 
     /// Handle a request through the fault policy. `None` models a dropped
@@ -157,16 +152,17 @@ impl AdversarialLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::LedgerConfig;
+    use crate::concurrent::LedgerConfig;
     use irs_core::claim::{ClaimRequest, RevokeRequest};
     use irs_core::ids::LedgerId;
     use irs_core::tsa::TimestampAuthority;
     use irs_crypto::{Digest, Keypair};
 
-    fn honest() -> Ledger {
-        Ledger::new(
+    fn honest() -> ConcurrentLedger {
+        ConcurrentLedger::with_shards(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(1),
+            1,
         )
     }
 

@@ -7,7 +7,7 @@
 //! believe that the copy is derived from the original photo, they then
 //! mark it as permanently revoked."
 
-use crate::service::Ledger;
+use crate::concurrent::ConcurrentLedger;
 use irs_core::ids::RecordId;
 use irs_core::photo::PhotoFile;
 use irs_core::time::TimeMs;
@@ -79,7 +79,7 @@ impl AppealsJudge {
     /// the ledger.
     pub fn adjudicate(
         &mut self,
-        ledger: &mut Ledger,
+        ledger: &ConcurrentLedger,
         evidence: &AppealEvidence,
         accused: RecordId,
         accused_photo: &PhotoFile,
@@ -122,8 +122,8 @@ impl AppealsJudge {
         {
             MatchVerdict::Derived => {
                 ledger
-                    .store_mut()
                     .permanently_revoke(&accused)
+                    .expect("durable log accepts the appeal pin")
                     .expect("accused exists");
                 self.upheld += 1;
                 AppealOutcome::Upheld
@@ -143,7 +143,7 @@ impl AppealsJudge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{Ledger, LedgerConfig};
+    use crate::concurrent::LedgerConfig;
     use irs_core::camera::Camera;
     use irs_core::claim::{ClaimRequest, RevocationStatus};
     use irs_core::ids::LedgerId;
@@ -153,7 +153,7 @@ mod tests {
     use irs_imaging::manipulate::Manipulation;
 
     struct Scenario {
-        ledger: Ledger,
+        ledger: ConcurrentLedger,
         wallet: OwnerWallet,
         original_id: RecordId,
         tsa_key: PublicKey,
@@ -164,7 +164,7 @@ mod tests {
     fn setup(attacker_image_op: Option<Manipulation>) -> (Scenario, RecordId, PhotoFile) {
         let tsa = TimestampAuthority::from_seed(7);
         let tsa_key = tsa.public_key();
-        let mut ledger = Ledger::new(LedgerConfig::new(LedgerId(1)), tsa);
+        let ledger = ConcurrentLedger::with_shards(LedgerConfig::new(LedgerId(1)), tsa, 1);
         let mut cam = Camera::new(5, 256, 256);
         let shot = cam.capture(100);
         let original_photo = shot.photo.clone();
@@ -204,11 +204,11 @@ mod tests {
 
     #[test]
     fn exact_copy_appeal_upheld() {
-        let (mut s, accused, accused_photo) = setup(None);
+        let (s, accused, accused_photo) = setup(None);
         let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             accused,
             &accused_photo,
@@ -225,11 +225,11 @@ mod tests {
 
     #[test]
     fn transcoded_copy_appeal_upheld() {
-        let (mut s, accused, accused_photo) = setup(Some(Manipulation::Jpeg(50)));
+        let (s, accused, accused_photo) = setup(Some(Manipulation::Jpeg(50)));
         let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             accused,
             &accused_photo,
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn unrelated_photo_appeal_rejected() {
-        let (mut s, _accused, _) = setup(None);
+        let (s, _accused, _) = setup(None);
         // Accuse a record whose photo is unrelated to the original.
         let mut cam2 = Camera::new(99, 256, 256);
         let other_shot = cam2.capture(4_000);
@@ -255,7 +255,7 @@ mod tests {
         let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             innocent,
             &other_photo,
@@ -274,7 +274,7 @@ mod tests {
     fn later_claimant_cannot_appeal_against_earlier() {
         // The *attacker* (later claim) appeals against the owner — must be
         // rejected on timestamp ordering.
-        let (mut s, accused, accused_photo) = setup(None);
+        let (s, accused, accused_photo) = setup(None);
         let attacker_kp = irs_crypto::Keypair::from_seed(&[66u8; 32]);
         let attacker_claim = ClaimRequest::create(&attacker_kp, &accused_photo.digest());
         let accused_rec = s.ledger.store().get(&accused).unwrap().claim.clone();
@@ -286,7 +286,7 @@ mod tests {
         };
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &fake_ev,
             s.original_id,
             &accused_photo,
@@ -301,14 +301,14 @@ mod tests {
 
     #[test]
     fn forged_ownership_rejected() {
-        let (mut s, accused, accused_photo) = setup(None);
+        let (s, accused, accused_photo) = setup(None);
         let mut ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         // Present a different photo than the claim covers.
         ev.original_photo = accused_photo.clone();
         ev.original_photo.image = Manipulation::Brightness(40).apply(&ev.original_photo.image);
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             accused,
             &accused_photo,
@@ -323,12 +323,12 @@ mod tests {
 
     #[test]
     fn unknown_accused_rejected() {
-        let (mut s, _, accused_photo) = setup(None);
+        let (s, _, accused_photo) = setup(None);
         let ev = s.wallet.appeal_evidence(&s.original_id).unwrap();
         let ghost = RecordId::new(LedgerId(1), 999);
         let mut judge = AppealsJudge::default();
         let outcome = judge.adjudicate(
-            &mut s.ledger,
+            &s.ledger,
             &ev,
             ghost,
             &accused_photo,

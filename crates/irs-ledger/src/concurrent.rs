@@ -1,12 +1,17 @@
-//! Shared-nothing-as-possible ledger service: the `&self` counterpart
-//! of [`crate::Ledger`], built on [`ShardedLedgerStore`].
+//! The ledger service: the wire protocol over a [`ShardedLedgerStore`],
+//! with freshness proofs, versioned revoked-set filter publication with
+//! delta serving (§4.4: "updated regularly (perhaps hourly), and
+//! transferred with a delta encoding"), the §5 policy knob, and optional
+//! durability, replication and placement.
 //!
-//! Connection threads call [`ConcurrentLedger::handle`] directly — no
-//! whole-service mutex. Striped record state lives in the store;
-//! service-level state is either immutable (keys, config), atomic
-//! (request counters), or a read-mostly snapshot pair behind a brief
-//! `RwLock` (published filters: projection happens *off* the lock,
-//! only the pointer rotation holds it).
+//! The request path is entirely `&self`, so connection threads call
+//! [`ConcurrentLedger::handle`] directly — no whole-service mutex.
+//! Striped record state lives in the store; service-level state is
+//! either immutable (keys, config), atomic (request counters), or a
+//! read-mostly snapshot pair behind a brief `RwLock`. Simulators and
+//! experiments that want serial-order iteration and one filter index
+//! build a single stripe with [`ConcurrentLedger::with_shards`]`(cfg,
+//! tsa, 1)`.
 
 use crate::codes;
 use crate::disk::Disk;
@@ -17,7 +22,6 @@ use crate::sharded::{ShardedLedgerStore, DEFAULT_SHARDS};
 use crate::snapshot::encode_snapshot;
 use crate::store::{ClaimOrigin, StoreError, StoredClaim};
 use crate::wal::{AppendReceipt, FsyncPolicy, WalError, WalRecord, WalStats, WalWriter};
-use crate::{Ledger, LedgerConfig, LedgerPolicy, LedgerStats};
 use irs_core::claim::Claim;
 use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
 use irs_core::freshness::FreshnessProof;
@@ -27,7 +31,9 @@ use irs_core::tsa::{TimestampAuthority, TimestampToken};
 use irs_core::wire::{Request, Response};
 use irs_crypto::{Keypair, PublicKey};
 use irs_filters::delta::BloomDelta;
-use irs_filters::{BloomFilter, CountingBloom, TieredPublisher, TieredServe, TieredSnapshot};
+use irs_filters::{
+    BloomFilter, CountingBloom, TieredConfig, TieredPublisher, TieredServe, TieredSnapshot,
+};
 use irs_obs::{Counter, Gauge, Histogram, Registry, SpanRecorder};
 use parking_lot::{Mutex, RwLock};
 use std::io;
@@ -40,6 +46,74 @@ use std::time::Instant;
 pub const WAL_PATH: &str = "ledger.wal";
 /// File name of the snapshot inside the [`Disk`] namespace.
 pub const SNAPSHOT_PATH: &str = "ledger.snap";
+
+/// Ledger behavioral policy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LedgerPolicy {
+    /// Normal commercial ledger: owners may revoke and unrevoke.
+    Standard,
+    /// §5 "Enabling Censorship?": a nonprofit ledger for e.g. human-rights
+    /// documentation that "could register photos and not allow their
+    /// revocation".
+    NonRevocable,
+}
+
+/// Configuration for a ledger instance.
+#[derive(Clone, Debug)]
+pub struct LedgerConfig {
+    /// This ledger's ecosystem identifier.
+    pub id: LedgerId,
+    /// Behavioral policy.
+    pub policy: LedgerPolicy,
+    /// Expected claimed-photo population (sizes the published filter).
+    pub filter_capacity: u64,
+    /// Validity window for freshness proofs (ms). §3.2's "recently
+    /// verified"; also the aggregator recheck period.
+    pub proof_validity_ms: u64,
+    /// Seed of the proof-signing key: equal seeds give equal keys, so
+    /// experiments get deterministic ledger identities.
+    pub seed: u64,
+    /// Sizing of the tiered (fuse base + Bloom delta) filter pipeline:
+    /// delta capacity/FPR and the compaction threshold (DESIGN.md §16).
+    pub tiered: TieredConfig,
+}
+
+impl LedgerConfig {
+    /// Reasonable defaults for simulations.
+    pub fn new(id: LedgerId) -> LedgerConfig {
+        LedgerConfig {
+            id,
+            policy: LedgerPolicy::Standard,
+            filter_capacity: 100_000,
+            proof_validity_ms: 3_600_000, // 1 hour
+            seed: id.0 as u64,
+            tiered: TieredConfig::default(),
+        }
+    }
+}
+
+/// Request counters (the load metrics experiments E4/E5 read).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LedgerStats {
+    /// Single status queries served.
+    pub queries: u64,
+    /// Batched status items served.
+    pub batch_items: u64,
+    /// Claims recorded.
+    pub claims: u64,
+    /// Revocations processed (including unrevokes).
+    pub revokes: u64,
+    /// Filter snapshots served (full).
+    pub filters_full: u64,
+    /// Filter deltas served.
+    pub filters_delta: u64,
+    /// Sealed fuse bases served (tiered pipeline, epoch roll).
+    pub filters_base: u64,
+    /// Full tiered installs served (bootstrap or multi-epoch lag).
+    pub filters_tiered: u64,
+    /// Freshness proofs issued.
+    pub proofs: u64,
+}
 
 /// One published filter version.
 #[derive(Clone, Debug)]
@@ -125,18 +199,6 @@ impl LedgerObs {
             proofs: self.proofs.get(),
         }
     }
-
-    fn preload(&self, stats: LedgerStats) {
-        self.queries.add(stats.queries);
-        self.batch_items.add(stats.batch_items);
-        self.claims.add(stats.claims);
-        self.revokes.add(stats.revokes);
-        self.filters_full.add(stats.filters_full);
-        self.filters_delta.add(stats.filters_delta);
-        self.filters_base.add(stats.filters_base);
-        self.filters_tiered.add(stats.filters_tiered);
-        self.proofs.add(stats.proofs);
-    }
 }
 
 /// How a durable ledger persists: where, how eagerly, and how often it
@@ -214,9 +276,9 @@ pub struct ConcurrentLedger {
     signing_key: Keypair,
     tsa_key: PublicKey,
     snapshots: RwLock<SnapshotPair>,
-    /// The tiered publication state machine. Publishes (including the
-    /// expensive fuse construction at compaction) hold only this mutex;
-    /// serving never does.
+    /// The tiered publication state machine. Its mutex also serializes
+    /// whole publishes (see [`publish_filter`](Self::publish_filter));
+    /// serving never takes it.
     tiered: Mutex<TieredPublisher>,
     /// The publication serves read: an `Arc` rotated under a brief write
     /// lock after each publish, cloned out under a brief read lock.
@@ -237,31 +299,16 @@ impl ConcurrentLedger {
     }
 
     /// Create with an explicit stripe count (the E15 scaling experiment
-    /// sweeps this).
+    /// sweeps this). One stripe gives serial-order record iteration and
+    /// a single filter index — the deterministic shape simulators use.
     pub fn with_shards(
         config: LedgerConfig,
         tsa: TimestampAuthority,
         num_shards: usize,
     ) -> ConcurrentLedger {
-        let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&config.seed.to_le_bytes());
-        seed[8..16].copy_from_slice(b"IRSLEDGR");
         let tsa_key = tsa.public_key();
-        let tiered = TieredPublisher::new(config.tiered).expect("valid tiered filter config");
-        let tiered_snap = RwLock::new(tiered.snapshot());
-        ConcurrentLedger {
-            store: ShardedLedgerStore::new(config.id, tsa, config.filter_capacity, num_shards),
-            signing_key: Keypair::from_seed(&seed),
-            tsa_key,
-            snapshots: RwLock::new(SnapshotPair::default()),
-            tiered: Mutex::new(tiered),
-            tiered_snap,
-            obs: LedgerObs::new(),
-            config,
-            durability: None,
-            recovery_report: None,
-            shard_dir: OnceLock::new(),
-        }
+        let store = ShardedLedgerStore::new(config.id, tsa, config.filter_capacity, num_shards);
+        ConcurrentLedger::from_store(config, tsa_key, store)
     }
 
     /// Open a durable ledger: recover whatever state the disk holds
@@ -276,9 +323,10 @@ impl ConcurrentLedger {
         durability: DurabilityConfig,
     ) -> Result<ConcurrentLedger, RecoveryError> {
         let state = recovery::recover(&durability.disk, WAL_PATH, SNAPSHOT_PATH, config.id)?;
+        let tsa_key = tsa.public_key();
         let store = ShardedLedgerStore::from_parts(
             config.id,
-            tsa.clone(),
+            tsa,
             state.records,
             config.filter_capacity,
             num_shards,
@@ -289,73 +337,51 @@ impl ConcurrentLedger {
             config.id,
             durability.fsync,
         )?;
-        let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&config.seed.to_le_bytes());
-        seed[8..16].copy_from_slice(b"IRSLEDGR");
-        let tsa_key = tsa.public_key();
-        let obs = LedgerObs::new();
+        let mut ledger = ConcurrentLedger::from_store(config, tsa_key, store);
         let replication = Arc::new(ReplicationLog::new(
             wal.last_seq() + 1,
             DEFAULT_RETAIN_FRAMES,
-            &obs.registry,
+            &ledger.obs.registry,
         ));
+        ledger.durability = Some(Durability {
+            wal,
+            disk: durability.disk,
+            snapshot_every: durability.snapshot_every,
+            ops_since_snapshot: AtomicU64::new(0),
+            snapshotting: AtomicBool::new(false),
+            replication,
+            replication_policy: durability.replication,
+        });
+        ledger.recovery_report = Some(state.report);
+        Ok(ledger)
+    }
+
+    /// The set-up every constructor shares: the proof-signing key derived
+    /// from the config seed, an empty tiered publisher, no published
+    /// snapshot, fresh counters, memory-only.
+    fn from_store(
+        config: LedgerConfig,
+        tsa_key: PublicKey,
+        store: ShardedLedgerStore,
+    ) -> ConcurrentLedger {
+        let mut seed = [0u8; 32];
+        seed[..8].copy_from_slice(&config.seed.to_le_bytes());
+        seed[8..16].copy_from_slice(b"IRSLEDGR");
         let tiered = TieredPublisher::new(config.tiered).expect("valid tiered filter config");
         let tiered_snap = RwLock::new(tiered.snapshot());
-        Ok(ConcurrentLedger {
+        ConcurrentLedger {
             store,
             signing_key: Keypair::from_seed(&seed),
             tsa_key,
             snapshots: RwLock::new(SnapshotPair::default()),
             tiered: Mutex::new(tiered),
             tiered_snap,
-            obs,
-            config,
-            durability: Some(Durability {
-                wal,
-                disk: durability.disk,
-                snapshot_every: durability.snapshot_every,
-                ops_since_snapshot: AtomicU64::new(0),
-                snapshotting: AtomicBool::new(false),
-                replication,
-                replication_policy: durability.replication,
-            }),
-            recovery_report: Some(state.report),
-            shard_dir: OnceLock::new(),
-        })
-    }
-
-    /// Promote a single-threaded [`Ledger`] (records, published
-    /// snapshots, and stats carry over; signing keys are identical
-    /// because both derive from the config seed).
-    pub(crate) fn from_ledger(ledger: Ledger, num_shards: usize) -> ConcurrentLedger {
-        let (config, store, signing_key, tsa_key, published, tiered, stats) = ledger.into_parts();
-        let (id, tsa, records) = store.into_parts();
-        let sharded =
-            ShardedLedgerStore::from_parts(id, tsa, records, config.filter_capacity, num_shards);
-        let pair = SnapshotPair {
-            current: published
-                .0
-                .map(|(version, filter)| Arc::new(Snapshot { version, filter })),
-            previous: published
-                .1
-                .map(|(version, filter)| Arc::new(Snapshot { version, filter })),
-        };
-        let tiered_snap = RwLock::new(tiered.snapshot());
-        let concurrent = ConcurrentLedger {
-            config,
-            store: sharded,
-            signing_key,
-            tsa_key,
-            snapshots: RwLock::new(pair),
-            tiered: Mutex::new(tiered),
-            tiered_snap,
             obs: LedgerObs::new(),
+            config,
             durability: None,
             recovery_report: None,
             shard_dir: OnceLock::new(),
-        };
-        concurrent.obs.preload(stats);
-        concurrent
+        }
     }
 
     /// This ledger's identifier.
@@ -476,7 +502,9 @@ impl ConcurrentLedger {
                             .store
                             .status(&id)
                             .map(|(s, _)| s)
-                            // Fail open on unknown ids, as in `Ledger`.
+                            // Unknown records are reported NotRevoked: the
+                            // viewer fails open (Nongoal #4) and an unknown
+                            // id is indistinguishable from another ledger's.
                             .unwrap_or(RevocationStatus::NotRevoked);
                         (id, status)
                     })
@@ -875,25 +903,22 @@ impl ConcurrentLedger {
         )
     }
 
-    /// Publish a new filter snapshot; returns its version. The filter
-    /// projection (the expensive part) runs before the write lock is
-    /// taken; the lock is held only to rotate two `Arc` pointers, so
-    /// in-flight `GetFilter` requests are never blocked behind a
-    /// projection. The same pass reconciles the tiered pipeline: delta
-    /// rebuild and (at the compaction threshold) fuse construction run
-    /// under the publisher mutex only — tiered serves read a separate
-    /// snapshot pointer and are never blocked behind a compaction.
+    /// Publish a new filter snapshot; returns its version. The same pass
+    /// reconciles the tiered pipeline: delta rebuild and (at the
+    /// compaction threshold) fuse construction. Publishes are serialized
+    /// on the publisher mutex, held from the projection through both
+    /// pointer rotations, so a racing publish can never rotate an older
+    /// projection in as the newer version. Serves never take that mutex:
+    /// they read the snapshot pointers, whose write locks are held only
+    /// for the rotations, so in-flight filter requests are never blocked
+    /// behind a projection or a compaction.
     pub fn publish_filter(&self) -> u64 {
+        let mut tiered = self.tiered.lock();
         let filter = self.store.project_filter();
-        let revoked = self.store.revoked_filter_keys();
-        let tiered_snap = {
-            let mut tiered = self.tiered.lock();
-            tiered
-                .publish(&revoked)
-                .expect("tiered config validated at construction");
-            tiered.snapshot()
-        };
-        *self.tiered_snap.write() = tiered_snap;
+        tiered
+            .publish(&self.store.revoked_filter_keys())
+            .expect("tiered config validated at construction");
+        *self.tiered_snap.write() = tiered.snapshot();
         let mut pair = self.snapshots.write();
         let version = pair.current.as_ref().map(|s| s.version + 1).unwrap_or(1);
         pair.previous = pair.current.take();
@@ -922,7 +947,8 @@ impl ConcurrentLedger {
             .unwrap_or(0)
     }
 
-    /// The current published filter, if any (cloned `Arc`; cheap).
+    /// A copy of the current published filter, if any (deep-copies the
+    /// bit array; the wire path serves from the snapshot instead).
     pub fn published_filter(&self) -> Option<BloomFilter> {
         self.snapshots
             .read()
@@ -1022,11 +1048,6 @@ impl ConcurrentLedger {
             }
         }
     }
-
-    /// Visit every committed record.
-    pub fn for_each_record(&self, f: impl FnMut(&StoredClaim)) {
-        self.store.for_each(f)
-    }
 }
 
 fn err(code: u16, message: &str) -> Response {
@@ -1080,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn request_flow_matches_sequential_ledger() {
+    fn claim_query_revoke_flow() {
         let l = ledger();
         let (id, keypair) = claim_one(&l, 1);
         match l.handle(Request::Query { id }, TimeMs(20)) {
@@ -1162,15 +1183,34 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        claim_one(&l, 3);
-        assert_eq!(l.publish_filter(), 2);
-        // One version behind: delta, not a full re-ship.
-        match l.handle(Request::GetFilter { have_version: 1 }, TimeMs(3)) {
+        // Up-to-date requester: an empty delta, not a re-ship.
+        match l.handle(Request::GetFilter { have_version: 1 }, TimeMs(2)) {
             Response::FilterDelta {
                 from_version,
                 to_version,
                 ..
-            } => assert_eq!((from_version, to_version), (1, 2)),
+            } => assert_eq!((from_version, to_version), (1, 1)),
+            other => panic!("unexpected {other:?}"),
+        }
+        let (id_b, keypair_b) = claim_one(&l, 3);
+        let rv = RevokeRequest::create(&keypair_b, id_b, true, 0);
+        l.handle(Request::Revoke(rv), TimeMs(3));
+        assert_eq!(l.publish_filter(), 2);
+        // One version behind: delta, not a full re-ship, and smaller.
+        let full_bytes = l.published_filter().unwrap().to_bytes().len();
+        match l.handle(Request::GetFilter { have_version: 1 }, TimeMs(3)) {
+            Response::FilterDelta {
+                from_version,
+                to_version,
+                data,
+            } => {
+                assert_eq!((from_version, to_version), (1, 2));
+                assert!(
+                    data.len() < full_bytes,
+                    "delta {} should be smaller than full {full_bytes}",
+                    data.len()
+                );
+            }
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(l.filter_version(), 2);
@@ -1280,37 +1320,6 @@ mod tests {
     }
 
     #[test]
-    fn promotion_from_sequential_ledger() {
-        let mut seq = Ledger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(1),
-        );
-        let keypair = Keypair::from_seed(&[5; 32]);
-        let req = ClaimRequest::create(&keypair, &Digest::of(b"x"));
-        let Response::Claimed { id, .. } = seq.handle(Request::Claim(req), TimeMs(1)) else {
-            panic!("claim failed");
-        };
-        let rv = RevokeRequest::create(&keypair, id, true, 0);
-        seq.handle(Request::Revoke(rv), TimeMs(2));
-        seq.publish_filter();
-        let public_key = seq.public_key();
-        let conc = ConcurrentLedger::from_ledger(seq, 4);
-        // Same identity, records, stats, and published version.
-        assert_eq!(conc.public_key(), public_key);
-        assert_eq!(
-            conc.store().status(&id),
-            Some((RevocationStatus::Revoked, 1))
-        );
-        assert_eq!(conc.stats().claims, 1);
-        assert_eq!(conc.filter_version(), 1);
-        // Proofs issued by the promoted ledger verify against the old key.
-        match conc.handle(Request::GetProof { id }, TimeMs(10)) {
-            Response::Proof(p) => assert!(p.verify(&public_key, TimeMs(20))),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn parallel_claims_and_queries() {
         let l = std::sync::Arc::new(ledger());
         let writers: Vec<_> = (0..4u8)
@@ -1349,5 +1358,266 @@ mod tests {
         }
         assert_eq!(l.stats().queries, 400);
         assert_eq!(l.store().len(), 100);
+    }
+
+    #[test]
+    fn unknown_record_errors_and_ping() {
+        let l = ledger();
+        let id = RecordId::new(LedgerId(1), 404);
+        match l.handle(Request::Query { id }, TimeMs(1)) {
+            Response::Error { code, .. } => assert_eq!(code, codes::UNKNOWN_RECORD),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.handle(Request::Ping, TimeMs(0)), Response::Pong);
+    }
+
+    #[test]
+    fn empty_batch_yields_empty_status_list() {
+        let l = ledger();
+        match l.handle(Request::Batch(Vec::new()), TimeMs(1)) {
+            Response::BatchStatus(items) => assert!(items.is_empty()),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.stats().batch_items, 0);
+    }
+
+    #[test]
+    fn batch_answers_duplicates_positionally() {
+        // A proxy that doesn't dedup may repeat an id; each occurrence
+        // gets its own slot in the reply, in request order.
+        let l = ledger();
+        let (id, keypair) = claim_one(&l, 3);
+        let rv = RevokeRequest::create(&keypair, id, true, 0);
+        let Response::RevokeAck { .. } = l.handle(Request::Revoke(rv), TimeMs(5)) else {
+            panic!("revoke failed");
+        };
+        let unknown = RecordId::new(LedgerId(1), 404);
+        let batch = vec![id, unknown, id];
+        match l.handle(Request::Batch(batch.clone()), TimeMs(10)) {
+            Response::BatchStatus(items) => {
+                assert_eq!(
+                    items.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+                    batch,
+                    "reply order must mirror request order, duplicates included"
+                );
+                assert_eq!(items[0].1, RevocationStatus::Revoked);
+                // Unknown ids fail open.
+                assert_eq!(items[1].1, RevocationStatus::NotRevoked);
+                assert_eq!(items[2].1, RevocationStatus::Revoked);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.stats().batch_items, 3);
+    }
+
+    #[test]
+    fn non_revocable_policy_refuses_revocation_but_allows_unrevoke() {
+        let mut cfg = LedgerConfig::new(LedgerId(2));
+        cfg.policy = LedgerPolicy::NonRevocable;
+        let l = ConcurrentLedger::with_shards(cfg, TimestampAuthority::from_seed(2), 1);
+        let keypair = Keypair::from_seed(&[9; 32]);
+        let req = ClaimRequest::create(&keypair, &Digest::of(b"evidence"));
+        let Response::Claimed { id, .. } = l.handle(Request::Claim(req), TimeMs(1)) else {
+            panic!("claim failed");
+        };
+        let rv = RevokeRequest::create(&keypair, id, true, 0);
+        match l.handle(Request::Revoke(rv), TimeMs(2)) {
+            Response::Error { code, .. } => assert_eq!(code, codes::POLICY),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.stats().revokes, 0, "refused before it counts");
+        // Unrevoking (here a no-op flip) stays an owner right.
+        let unrv = RevokeRequest::create(&keypair, id, false, 0);
+        match l.handle(Request::Revoke(unrv), TimeMs(3)) {
+            Response::RevokeAck { status, epoch, .. } => {
+                assert_eq!((status, epoch), (RevocationStatus::NotRevoked, 1));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn proof_issuance_and_verification() {
+        let l = ledger();
+        let (id, _) = claim_one(&l, 3);
+        match l.handle(Request::GetProof { id }, TimeMs(1_000)) {
+            Response::Proof(p) => {
+                assert!(p.verify(&l.public_key(), TimeMs(2_000)));
+                assert_eq!(p.status, RevocationStatus::NotRevoked);
+                assert_eq!(p.id, id);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.stats().proofs, 1);
+        // The signing key is a function of the config seed alone.
+        let twin = ConcurrentLedger::with_shards(
+            LedgerConfig::new(LedgerId(1)),
+            TimestampAuthority::from_seed(7),
+            1,
+        );
+        assert_eq!(twin.public_key(), l.public_key());
+    }
+
+    #[test]
+    fn wire_tiered_filter_flow() {
+        use irs_filters::{Filter, TieredFilter};
+        let l = ledger();
+        let (id, keypair) = claim_one(&l, 20);
+        let rv = RevokeRequest::create(&keypair, id, true, 0);
+        l.handle(Request::Revoke(rv), TimeMs(1));
+        l.publish_filter();
+        // Bootstrap requester: full tiered install (no epoch sealed yet,
+        // so the base blob is empty and the delta answers the key).
+        let tier = match l.handle(
+            Request::GetFilterTiered {
+                have_epoch: 0,
+                have_version: 0,
+            },
+            TimeMs(2),
+        ) {
+            Response::FilterTiered {
+                epoch,
+                base,
+                delta_version,
+                delta,
+            } => {
+                assert_eq!(epoch, 1, "no compaction has sealed a base yet");
+                assert!(base.is_empty());
+                TieredFilter::from_wire(epoch, &base, delta_version, delta).unwrap()
+            }
+            other => panic!("unexpected {other:?}"),
+        };
+        assert!(tier.contains(id.filter_key()));
+        // Up-to-date requester: empty delta, version unchanged.
+        match l.handle(
+            Request::GetFilterTiered {
+                have_epoch: tier.epoch(),
+                have_version: tier.delta_version(),
+            },
+            TimeMs(3),
+        ) {
+            Response::FilterDelta {
+                from_version,
+                to_version,
+                ..
+            } => assert_eq!(from_version, to_version),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.stats().filters_tiered, 1);
+        assert_eq!(l.stats().filters_delta, 1);
+    }
+
+    #[test]
+    fn tiered_compaction_rolls_epoch_through_publication() {
+        use irs_filters::{Filter, Fuse8};
+        let mut cfg = LedgerConfig::new(LedgerId(3));
+        cfg.tiered = TieredConfig {
+            delta_capacity: 64,
+            delta_fpr: 1e-3,
+            compact_at: 4,
+        };
+        let l = ConcurrentLedger::with_shards(cfg, TimestampAuthority::from_seed(3), 1);
+        let mut keys = Vec::new();
+        for seed in 30..38u8 {
+            let (id, keypair) = claim_one(&l, seed);
+            let rv = RevokeRequest::create(&keypair, id, true, 0);
+            l.handle(Request::Revoke(rv), TimeMs(2));
+            keys.push(id.filter_key());
+        }
+        // 8 delta keys ≥ compact_at=4: the publish seals epoch 2.
+        l.publish_filter();
+        assert_eq!(l.tiered_epoch(), 2);
+        // A client that followed epoch 1 gets just the sealed base…
+        match l.handle(
+            Request::GetFilterTiered {
+                have_epoch: 1,
+                have_version: 0,
+            },
+            TimeMs(3),
+        ) {
+            Response::FilterBase { epoch, data } => {
+                assert_eq!(epoch, 2);
+                let base = Fuse8::from_bytes(data).unwrap();
+                for &k in &keys {
+                    assert!(base.contains(k), "sealed base lost a revoked key");
+                }
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(l.stats().filters_base, 1);
+    }
+
+    #[test]
+    fn custodial_and_revoked_claims() {
+        let l = ledger();
+        let req = ClaimRequest::create(&Keypair::from_seed(&[11; 32]), &Digest::of(b"upload"));
+        let (id, _) = l.claim_custodial(req, TimeMs(1)).unwrap();
+        assert_eq!(l.store().get(&id).unwrap().origin, ClaimOrigin::Custodial);
+        let req2 = ClaimRequest::create(&Keypair::from_seed(&[12; 32]), &Digest::of(b"auto"));
+        let (id2, _) = l.claim_revoked(req2, TimeMs(2)).unwrap();
+        assert_eq!(l.store().status(&id2), Some((RevocationStatus::Revoked, 0)));
+        assert_eq!(l.stats().claims, 2);
+    }
+
+    #[test]
+    fn racing_publishes_never_roll_back_an_acked_revocation() {
+        // One thread publishes in a loop while this one acks a revoked
+        // claim and then publishes. Once both are done, the latest
+        // publication must cover the acked key in every tier: a publish
+        // that projected before the ack must not rotate in after it.
+        use irs_filters::{Filter, TieredFilter};
+        let mut cfg = LedgerConfig::new(LedgerId(1));
+        cfg.filter_capacity = 4_096;
+        // Compacts every few trials, so racing epoch rolls are covered.
+        cfg.tiered = TieredConfig {
+            delta_capacity: 256,
+            delta_fpr: 1e-3,
+            compact_at: 64,
+        };
+        let l = Arc::new(ConcurrentLedger::with_shards(
+            cfg,
+            TimestampAuthority::from_seed(1),
+            1,
+        ));
+        for trial in 0..300u32 {
+            let stop = Arc::new(AtomicBool::new(false));
+            let racer = {
+                let l = Arc::clone(&l);
+                let stop = Arc::clone(&stop);
+                // Bounded, so a racer that keeps winning the publisher
+                // mutex cannot starve this thread's publish.
+                thread::spawn(move || {
+                    for _ in 0..64 {
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        l.publish_filter();
+                    }
+                })
+            };
+            let keypair = Keypair::from_seed(&[7; 32]);
+            let req = ClaimRequest::create(&keypair, &Digest::of(&trial.to_le_bytes()));
+            let (id, _) = l.claim_revoked(req, TimeMs(1)).unwrap();
+            l.publish_filter();
+            stop.store(true, Ordering::Release);
+            racer.join().unwrap();
+            let key = id.filter_key();
+            assert!(
+                l.published_filter().unwrap().contains(key),
+                "trial {trial}: legacy filter lost an acked revocation"
+            );
+            let snap = l.tiered_snapshot();
+            let tier = TieredFilter::from_wire(
+                snap.epoch(),
+                snap.base_bytes(),
+                snap.delta_version(),
+                snap.delta().to_bytes(),
+            )
+            .unwrap();
+            assert!(
+                tier.contains(key),
+                "trial {trial}: tiered filter lost an acked revocation"
+            );
+        }
     }
 }

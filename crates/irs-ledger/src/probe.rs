@@ -144,15 +144,16 @@ impl Prober {
 mod tests {
     use super::*;
     use crate::adversarial::Misbehavior;
-    use crate::service::{Ledger, LedgerConfig};
+    use crate::concurrent::{ConcurrentLedger, LedgerConfig};
     use irs_core::ids::LedgerId;
     use irs_core::tsa::TimestampAuthority;
 
     fn wrapped(m: Misbehavior) -> AdversarialLedger {
         AdversarialLedger::new(
-            Ledger::new(
+            ConcurrentLedger::with_shards(
                 LedgerConfig::new(LedgerId(1)),
                 TimestampAuthority::from_seed(1),
+                1,
             ),
             m,
         )

@@ -1,9 +1,7 @@
-//! Lock-striped claim store: the concurrent counterpart of
-//! [`crate::store::LedgerStore`].
+//! Lock-striped claim store: the ledger's record database.
 //!
 //! Serials are allocated from a single atomic counter, so they stay
-//! dense and append-only exactly as in the single-threaded store; the
-//! records themselves are striped across `N` shards (`shard = serial %
+//! dense and append-only; the records themselves are striped across `N` shards (`shard = serial %
 //! N`, within-shard slot `serial / N`), each behind its own
 //! `parking_lot::RwLock`. Every mutation touches exactly one shard, so
 //! writers on different shards never contend and there is no lock
@@ -14,8 +12,9 @@
 //! Each shard keeps its own [`CountingBloom`] over the revoked records
 //! it owns, with identical geometry across shards. Counting-filter
 //! insertion is additive per bit position, so the union of the
-//! per-shard projections equals the projection the monolithic store
-//! would have produced — see `union_matches_monolithic_store` below.
+//! per-shard projections equals the projection of one counting filter
+//! over the whole revoked set — see `union_matches_monolithic_store`
+//! below. With one shard, iteration is in serial order.
 
 use irs_core::claim::{Claim, ClaimRequest, RevocationStatus, RevokeRequest};
 use irs_core::ids::{LedgerId, RecordId};
@@ -53,8 +52,8 @@ pub struct ShardedLedgerStore {
 
 impl ShardedLedgerStore {
     /// Create an empty store with `num_shards` stripes. `filter_capacity`
-    /// sizes the published Bloom filter exactly as in
-    /// [`crate::store::LedgerStore::new`].
+    /// sizes the published Bloom filter (2 % target FPR at that
+    /// population, per §4.4).
     pub fn new(
         id: LedgerId,
         tsa: TimestampAuthority,
@@ -80,8 +79,7 @@ impl ShardedLedgerStore {
         }
     }
 
-    /// Rebuild from an existing record set (promotion of a
-    /// [`crate::Ledger`] to a concurrent one, or crash recovery). Serials
+    /// Rebuild from an existing record set (crash recovery). Serials
     /// may have holes — recovery drops claims that were allocated but
     /// never durably committed — so the next serial is one past the
     /// highest record present, not the record count.
@@ -428,7 +426,6 @@ impl ShardedLedgerStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::LedgerStore;
     use irs_crypto::{Digest, Keypair};
     use irs_filters::Filter;
     use std::sync::Arc;
@@ -453,6 +450,18 @@ mod tests {
         (id, keypair)
     }
 
+    /// The oracle for every projection: one counting filter of the
+    /// store's geometry, filled directly from the revoked records.
+    fn oracle(s: &ShardedLedgerStore) -> BloomFilter {
+        let mut filter = CountingBloom::for_capacity(s.filter_capacity(), 0.02).unwrap();
+        s.for_each(|r| {
+            if r.claim.status != RevocationStatus::NotRevoked {
+                filter.insert(r.claim.id.filter_key());
+            }
+        });
+        filter.to_bloom()
+    }
+
     #[test]
     fn serials_stay_dense_across_shards() {
         let s = store(4);
@@ -467,20 +476,36 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_matches_monolithic_semantics() {
+    fn claim_revoke_lifecycle() {
         let s = store(3);
         let (id, keypair) = make_claim(&s, 3, false);
         assert_eq!(s.status(&id), Some((RevocationStatus::NotRevoked, 0)));
         let req = RevokeRequest::create(&keypair, id, true, 0);
         assert_eq!(s.apply_revoke(&req), Ok((RevocationStatus::Revoked, 1)));
-        // Replay rejected, wrong key rejected, permanent is final.
+        // Replay rejected, wrong key rejected.
         assert_eq!(s.apply_revoke(&req), Err(StoreError::StaleEpoch));
         let intruder = RevokeRequest::create(&kp(99), id, false, 1);
         assert_eq!(s.apply_revoke(&intruder), Err(StoreError::BadSignature));
+        // Unrevoke at the new epoch.
+        let unrevoke = RevokeRequest::create(&keypair, id, false, 1);
+        assert_eq!(
+            s.apply_revoke(&unrevoke),
+            Ok((RevocationStatus::NotRevoked, 2))
+        );
+        // Permanent is final.
         s.permanently_revoke(&id).unwrap();
-        let late = RevokeRequest::create(&keypair, id, false, 2);
+        assert_eq!(
+            s.status(&id),
+            Some((RevocationStatus::PermanentlyRevoked, 3))
+        );
+        let late = RevokeRequest::create(&keypair, id, false, 3);
         assert_eq!(s.apply_revoke(&late), Err(StoreError::Permanent));
-        assert_eq!(s.status_counts(), (0, 0, 1));
+        // §4.4: "many photos will be automatically registered and
+        // revoked" — such claims start revoked at epoch 0.
+        let (auto, _) = make_claim(&s, 4, true);
+        assert_eq!(s.status(&auto), Some((RevocationStatus::Revoked, 0)));
+        make_claim(&s, 5, false);
+        assert_eq!(s.status_counts(), (1, 1, 1));
     }
 
     #[test]
@@ -489,36 +514,71 @@ mod tests {
         assert_eq!(s.status(&RecordId::new(LedgerId(9), 0)), None);
         assert_eq!(s.status(&RecordId::new(LedgerId(1), 7)), None);
         assert_eq!(
+            s.permanently_revoke(&RecordId::new(LedgerId(9), 0)),
+            Err(StoreError::UnknownRecord)
+        );
+        assert_eq!(
             s.permanently_revoke(&RecordId::new(LedgerId(1), 7)),
             Err(StoreError::UnknownRecord)
         );
     }
 
     #[test]
+    fn filter_tracks_revocations_not_claims() {
+        let s = store(2);
+        // Unrevoked claim: NOT in the filter ("miss ⇒ definitely not
+        // revoked" must hold for all shared photos).
+        let (id, keypair) = make_claim(&s, 8, false);
+        assert!(!s.project_filter().contains(id.filter_key()));
+        // Revoke: enters the filter.
+        let rv = RevokeRequest::create(&keypair, id, true, 0);
+        s.apply_revoke(&rv).unwrap();
+        assert!(s.project_filter().contains(id.filter_key()));
+        // Unrevoke: leaves the filter again.
+        let unrv = RevokeRequest::create(&keypair, id, false, 1);
+        s.apply_revoke(&unrv).unwrap();
+        assert!(!s.project_filter().contains(id.filter_key()));
+        // Auto-registered-revoked claims are in from the start.
+        let (id2, _) = make_claim(&s, 9, true);
+        assert!(s.project_filter().contains(id2.filter_key()));
+        // Permanent revocation inserts too.
+        let (id3, _) = make_claim(&s, 10, false);
+        s.permanently_revoke(&id3).unwrap();
+        assert!(s.project_filter().contains(id3.filter_key()));
+    }
+
+    #[test]
+    fn timestamp_tokens_verify() {
+        let tsa = TimestampAuthority::from_seed(9);
+        let tsa_key = tsa.public_key();
+        let s = ShardedLedgerStore::new(LedgerId(3), tsa, 100, 1);
+        let req = ClaimRequest::create(&kp(10), &Digest::of(b"p"));
+        let (_, tok) = s.claim(req, ClaimOrigin::Owner, false, TimeMs(55));
+        assert!(tok.verify(&tsa_key));
+        assert_eq!(tok.time, TimeMs(55));
+        assert_eq!(tok.stamped, req.digest());
+    }
+
+    #[test]
     fn union_matches_monolithic_store() {
-        // Same operation sequence against the monolithic store and a
-        // 7-way sharded store: the projected filters must be bit-equal.
-        let mut mono = LedgerStore::new(LedgerId(1), TimestampAuthority::from_seed(1), 10_000);
+        // The 7-way union of per-shard projections must be bit-equal to
+        // one counting filter over the same revoked set.
         let sharded = store(7);
         let mut keys = Vec::new();
         for seed in 0..40u8 {
             let revoked = seed % 3 == 0;
-            let keypair = kp(seed);
-            let req = ClaimRequest::create(&keypair, &Digest::of(&[seed]));
-            mono.claim(req, ClaimOrigin::Owner, revoked, TimeMs(1));
             let (id, keypair) = make_claim(&sharded, seed, revoked);
             keys.push((id, keypair, revoked));
         }
-        // Revoke a few more on both.
+        // Revoke a few more.
         for (id, keypair, revoked) in &keys {
             if !revoked && id.serial % 5 == 0 {
                 let req = RevokeRequest::create(keypair, *id, true, 0);
-                mono.apply_revoke(&req).unwrap();
                 sharded.apply_revoke(&req).unwrap();
             }
         }
         assert_eq!(
-            mono.filter_index().to_bloom().to_bytes(),
+            oracle(&sharded).to_bytes(),
             sharded.project_filter().to_bytes()
         );
     }
@@ -558,15 +618,13 @@ mod tests {
 
     #[test]
     fn from_parts_preserves_records_and_filter() {
-        let mut mono = LedgerStore::new(LedgerId(1), TimestampAuthority::from_seed(1), 10_000);
+        let source = store(3);
         let mut expected = Vec::new();
         for seed in 0..25u8 {
-            let keypair = kp(seed);
-            let req = ClaimRequest::create(&keypair, &Digest::of(&[seed]));
-            let (id, _) = mono.claim(req, ClaimOrigin::Owner, seed % 4 == 0, TimeMs(1));
-            expected.push((id, mono.status(&id).unwrap()));
+            let (id, _) = make_claim(&source, seed, seed % 4 == 0);
+            expected.push((id, source.status(&id).unwrap()));
         }
-        let records: Vec<StoredClaim> = mono.iter().cloned().collect();
+        let (records, ()) = source.frozen_copy(|| ());
         let sharded = ShardedLedgerStore::from_parts(
             LedgerId(1),
             TimestampAuthority::from_seed(1),
@@ -579,7 +637,7 @@ mod tests {
             assert_eq!(sharded.status(&id), Some(status));
         }
         assert_eq!(
-            mono.filter_index().to_bloom().to_bytes(),
+            oracle(&source).to_bytes(),
             sharded.project_filter().to_bytes()
         );
         // New serials continue densely after the migrated ones.

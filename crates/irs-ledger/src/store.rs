@@ -1,15 +1,11 @@
-//! The claim store.
+//! The claim record and its store errors, shared by the striped store
+//! ([`crate::ShardedLedgerStore`]), the write-ahead log, snapshots and
+//! replication.
 //!
 //! Append-only: claims are never deleted (revocation flips status, appeals
-//! pin it). Serial numbers are dense, so lookup is a vector index. The
-//! store also maintains the counting-Bloom index from which filter
-//! snapshots are projected.
+//! pin it).
 
-use irs_core::claim::{Claim, ClaimRequest, RevocationStatus, RevokeRequest};
-use irs_core::ids::{LedgerId, RecordId};
-use irs_core::time::TimeMs;
-use irs_core::tsa::{TimestampAuthority, TimestampToken};
-use irs_filters::CountingBloom;
+use irs_core::claim::Claim;
 
 /// Errors from store operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,339 +55,4 @@ pub struct StoredClaim {
     pub claim: Claim,
     /// Who claimed it.
     pub origin: ClaimOrigin,
-}
-
-/// The ledger's record database.
-pub struct LedgerStore {
-    id: LedgerId,
-    records: Vec<StoredClaim>,
-    tsa: TimestampAuthority,
-    /// Counting filter over `RecordId::filter_key` of the **revoked**
-    /// records. §4.4's arithmetic ("if the photo does not hit in the
-    /// filter, it is definitely not revoked"; 2 % FPR ⇒ 50× load
-    /// reduction) requires the published filter to cover the revoked set —
-    /// a filter of all claims would be hit by every labeled photo and
-    /// save nothing. A counting filter because revocation toggles:
-    /// insert on revoke, remove on unrevoke.
-    filter_index: CountingBloom,
-}
-
-impl LedgerStore {
-    /// Create a store. `filter_capacity` sizes the published Bloom filter
-    /// (2 % target FPR at that population, per §4.4).
-    pub fn new(id: LedgerId, tsa: TimestampAuthority, filter_capacity: u64) -> LedgerStore {
-        LedgerStore {
-            id,
-            records: Vec::new(),
-            tsa,
-            filter_index: CountingBloom::for_capacity(filter_capacity, 0.02)
-                .expect("valid filter params"),
-        }
-    }
-
-    /// This ledger's identifier.
-    pub fn id(&self) -> LedgerId {
-        self.id
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no records exist.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Record a claim; returns the new identifier and timestamp token.
-    pub fn claim(
-        &mut self,
-        request: ClaimRequest,
-        origin: ClaimOrigin,
-        initially_revoked: bool,
-        now: TimeMs,
-    ) -> (RecordId, TimestampToken) {
-        let serial = self.records.len() as u64;
-        let id = RecordId::new(self.id, serial);
-        let timestamp = self.tsa.stamp(request.digest(), now);
-        let status = if initially_revoked {
-            RevocationStatus::Revoked
-        } else {
-            RevocationStatus::NotRevoked
-        };
-        self.records.push(StoredClaim {
-            claim: Claim {
-                id,
-                request,
-                timestamp,
-                status,
-                status_epoch: 0,
-            },
-            origin,
-        });
-        if initially_revoked {
-            self.filter_index.insert(id.filter_key());
-        }
-        (id, timestamp)
-    }
-
-    /// Look up a record.
-    pub fn get(&self, id: &RecordId) -> Option<&StoredClaim> {
-        if id.ledger != self.id {
-            return None;
-        }
-        self.records.get(id.serial as usize)
-    }
-
-    /// Current status and epoch.
-    pub fn status(&self, id: &RecordId) -> Option<(RevocationStatus, u64)> {
-        self.get(id).map(|r| (r.claim.status, r.claim.status_epoch))
-    }
-
-    /// Apply a signed revoke/unrevoke request.
-    pub fn apply_revoke(
-        &mut self,
-        request: &RevokeRequest,
-    ) -> Result<(RevocationStatus, u64), StoreError> {
-        if request.id.ledger != self.id {
-            return Err(StoreError::UnknownRecord);
-        }
-        let rec = self
-            .records
-            .get_mut(request.id.serial as usize)
-            .ok_or(StoreError::UnknownRecord)?;
-        if rec.claim.status == RevocationStatus::PermanentlyRevoked {
-            return Err(StoreError::Permanent);
-        }
-        if request.epoch != rec.claim.status_epoch {
-            return Err(StoreError::StaleEpoch);
-        }
-        if !request.verify(&rec.claim.request.pubkey, rec.claim.status_epoch) {
-            return Err(StoreError::BadSignature);
-        }
-        let was_revoked = rec.claim.status != RevocationStatus::NotRevoked;
-        rec.claim.status = if request.revoke {
-            RevocationStatus::Revoked
-        } else {
-            RevocationStatus::NotRevoked
-        };
-        rec.claim.status_epoch += 1;
-        let key = rec.claim.id.filter_key();
-        let result = (rec.claim.status, rec.claim.status_epoch);
-        match (was_revoked, request.revoke) {
-            (false, true) => self.filter_index.insert(key),
-            (true, false) => self.filter_index.remove(key),
-            _ => {}
-        }
-        Ok(result)
-    }
-
-    /// Permanently revoke (appeals outcome); bypasses signatures because it
-    /// is an administrative action of the ledger itself.
-    pub fn permanently_revoke(&mut self, id: &RecordId) -> Result<(), StoreError> {
-        if id.ledger != self.id {
-            return Err(StoreError::UnknownRecord);
-        }
-        let rec = self
-            .records
-            .get_mut(id.serial as usize)
-            .ok_or(StoreError::UnknownRecord)?;
-        let was_revoked = rec.claim.status != RevocationStatus::NotRevoked;
-        rec.claim.status = RevocationStatus::PermanentlyRevoked;
-        rec.claim.status_epoch += 1;
-        if !was_revoked {
-            self.filter_index.insert(id.filter_key());
-        }
-        Ok(())
-    }
-
-    /// The counting filter over **revoked** identifiers (projected to a
-    /// plain Bloom filter for publication by the service layer).
-    pub fn filter_index(&self) -> &CountingBloom {
-        &self.filter_index
-    }
-
-    /// The exact `filter_key` set of currently revoked records — the
-    /// input the tiered publisher seals into a fuse base (the counting
-    /// filter cannot be enumerated, so compaction reads the records).
-    pub fn revoked_filter_keys(&self) -> std::collections::HashSet<u64> {
-        self.records
-            .iter()
-            .filter(|r| r.claim.status != RevocationStatus::NotRevoked)
-            .map(|r| r.claim.id.filter_key())
-            .collect()
-    }
-
-    /// Decompose into raw parts for promotion to a
-    /// [`crate::sharded::ShardedLedgerStore`].
-    pub(crate) fn into_parts(self) -> (LedgerId, TimestampAuthority, Vec<StoredClaim>) {
-        (self.id, self.tsa, self.records)
-    }
-
-    /// Iterate all records (appeals scans, probes, stats).
-    pub fn iter(&self) -> impl Iterator<Item = &StoredClaim> {
-        self.records.iter()
-    }
-
-    /// Count records by status: (not revoked, revoked, permanent).
-    pub fn status_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for r in &self.records {
-            match r.claim.status {
-                RevocationStatus::NotRevoked => counts.0 += 1,
-                RevocationStatus::Revoked => counts.1 += 1,
-                RevocationStatus::PermanentlyRevoked => counts.2 += 1,
-            }
-        }
-        counts
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use irs_crypto::{Digest, Keypair};
-
-    fn store() -> LedgerStore {
-        LedgerStore::new(LedgerId(1), TimestampAuthority::from_seed(1), 10_000)
-    }
-
-    fn kp(seed: u8) -> Keypair {
-        Keypair::from_seed(&[seed; 32])
-    }
-
-    fn make_claim(s: &mut LedgerStore, seed: u8, revoked: bool) -> (RecordId, Keypair) {
-        let keypair = kp(seed);
-        let req = ClaimRequest::create(&keypair, &Digest::of(&[seed]));
-        let (id, _tok) = s.claim(req, ClaimOrigin::Owner, revoked, TimeMs(100));
-        (id, keypair)
-    }
-
-    #[test]
-    fn claim_assigns_dense_serials() {
-        let mut s = store();
-        let (a, _) = make_claim(&mut s, 1, false);
-        let (b, _) = make_claim(&mut s, 2, false);
-        assert_eq!(a.serial, 0);
-        assert_eq!(b.serial, 1);
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn status_lifecycle() {
-        let mut s = store();
-        let (id, keypair) = make_claim(&mut s, 3, false);
-        assert_eq!(s.status(&id), Some((RevocationStatus::NotRevoked, 0)));
-        let req = RevokeRequest::create(&keypair, id, true, 0);
-        let (st, ep) = s.apply_revoke(&req).unwrap();
-        assert_eq!(st, RevocationStatus::Revoked);
-        assert_eq!(ep, 1);
-        // Unrevoke at the new epoch.
-        let req2 = RevokeRequest::create(&keypair, id, false, 1);
-        let (st2, ep2) = s.apply_revoke(&req2).unwrap();
-        assert_eq!(st2, RevocationStatus::NotRevoked);
-        assert_eq!(ep2, 2);
-    }
-
-    #[test]
-    fn initially_revoked_claims() {
-        // §4.4: "many photos will be automatically registered and revoked".
-        let mut s = store();
-        let (id, _) = make_claim(&mut s, 4, true);
-        assert_eq!(s.status(&id), Some((RevocationStatus::Revoked, 0)));
-    }
-
-    #[test]
-    fn wrong_key_rejected() {
-        let mut s = store();
-        let (id, _) = make_claim(&mut s, 5, false);
-        let intruder = kp(99);
-        let req = RevokeRequest::create(&intruder, id, true, 0);
-        assert_eq!(s.apply_revoke(&req), Err(StoreError::BadSignature));
-    }
-
-    #[test]
-    fn stale_epoch_rejected() {
-        let mut s = store();
-        let (id, keypair) = make_claim(&mut s, 6, false);
-        let old = RevokeRequest::create(&keypair, id, true, 0);
-        s.apply_revoke(&old).unwrap();
-        // Replay the same (epoch-0) request.
-        assert_eq!(s.apply_revoke(&old), Err(StoreError::StaleEpoch));
-    }
-
-    #[test]
-    fn permanent_revocation_is_final() {
-        let mut s = store();
-        let (id, keypair) = make_claim(&mut s, 7, false);
-        s.permanently_revoke(&id).unwrap();
-        assert_eq!(
-            s.status(&id),
-            Some((RevocationStatus::PermanentlyRevoked, 1))
-        );
-        let req = RevokeRequest::create(&keypair, id, false, 1);
-        assert_eq!(s.apply_revoke(&req), Err(StoreError::Permanent));
-    }
-
-    #[test]
-    fn unknown_and_foreign_records() {
-        let mut s = store();
-        let foreign = RecordId::new(LedgerId(2), 0);
-        assert_eq!(s.status(&foreign), None);
-        assert_eq!(
-            s.permanently_revoke(&foreign),
-            Err(StoreError::UnknownRecord)
-        );
-        let missing = RecordId::new(LedgerId(1), 42);
-        assert_eq!(s.status(&missing), None);
-    }
-
-    #[test]
-    fn filter_index_tracks_revocations_not_claims() {
-        use irs_filters::Filter;
-        let mut s = store();
-        // Unrevoked claim: NOT in the filter ("miss ⇒ definitely not
-        // revoked" must hold for all shared photos).
-        let (id, keypair) = make_claim(&mut s, 8, false);
-        assert!(!s.filter_index().contains(id.filter_key()));
-        // Revoke: enters the filter.
-        let rv = RevokeRequest::create(&keypair, id, true, 0);
-        s.apply_revoke(&rv).unwrap();
-        assert!(s.filter_index().contains(id.filter_key()));
-        // Unrevoke: leaves the filter again.
-        let unrv = RevokeRequest::create(&keypair, id, false, 1);
-        s.apply_revoke(&unrv).unwrap();
-        assert!(!s.filter_index().contains(id.filter_key()));
-        // Auto-registered-revoked claims are in from the start.
-        let (id2, _) = make_claim(&mut s, 9, true);
-        assert!(s.filter_index().contains(id2.filter_key()));
-        // Permanent revocation inserts too.
-        let (id3, _) = make_claim(&mut s, 10, false);
-        s.permanently_revoke(&id3).unwrap();
-        assert!(s.filter_index().contains(id3.filter_key()));
-    }
-
-    #[test]
-    fn status_counts() {
-        let mut s = store();
-        make_claim(&mut s, 1, false);
-        make_claim(&mut s, 2, true);
-        let (id, _) = make_claim(&mut s, 3, false);
-        s.permanently_revoke(&id).unwrap();
-        assert_eq!(s.status_counts(), (1, 1, 1));
-    }
-
-    #[test]
-    fn timestamp_tokens_verify() {
-        let tsa = TimestampAuthority::from_seed(9);
-        let tsa_key = tsa.public_key();
-        let mut s = LedgerStore::new(LedgerId(3), tsa, 100);
-        let keypair = kp(10);
-        let req = ClaimRequest::create(&keypair, &Digest::of(b"p"));
-        let (_, tok) = s.claim(req, ClaimOrigin::Owner, false, TimeMs(55));
-        assert!(tok.verify(&tsa_key));
-        assert_eq!(tok.time, TimeMs(55));
-        assert_eq!(tok.stamped, req.digest());
-    }
 }

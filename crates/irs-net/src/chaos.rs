@@ -346,14 +346,14 @@ mod tests {
     use irs_core::ids::LedgerId;
     use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Response};
-    use irs_ledger::{Ledger, LedgerConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
     fn ledger_server() -> LedgerServer {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(0xC4A05),
         );
-        LedgerServer::start(ledger, "127.0.0.1:0").unwrap()
+        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
     }
 
     #[test]

@@ -130,7 +130,8 @@ mod tests {
     use crate::ledger_server::LedgerServer;
     use irs_core::ids::LedgerId;
     use irs_core::tsa::TimestampAuthority;
-    use irs_ledger::{Ledger, LedgerConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
+    use std::sync::Arc;
 
     #[test]
     fn connect_to_nothing_fails() {
@@ -142,11 +143,11 @@ mod tests {
 
     #[test]
     fn dead_stream_surfaces_connection_lost_until_reconnect() {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(3),
         );
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let addr = server.addr();
         let mut client =
             LedgerClient::connect_with_timeout(addr, Duration::from_millis(500)).unwrap();
@@ -167,11 +168,11 @@ mod tests {
         ));
 
         // Restart on the same port; reconnect revives the client.
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(3),
         );
-        let server = LedgerServer::start(ledger, &addr.to_string()).unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), &addr.to_string()).unwrap();
         client.reconnect().unwrap();
         assert!(client.is_connected());
         assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);

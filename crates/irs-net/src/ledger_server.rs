@@ -12,7 +12,7 @@
 //! `Arc` and call its `&self` request path directly: no whole-service
 //! mutex is held across request handling, so independent connections
 //! proceed in parallel (the E15 thread-scaling experiment measures the
-//! difference against the old `Mutex<Ledger>` design).
+//! difference against a whole-ledger mutex).
 
 use crate::framing::{read_frame_capped, response_bytes, write_response, MAX_REQUEST_FRAME};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
@@ -23,7 +23,7 @@ use crate::service::{
 use irs_core::time::{Clock, SystemClock};
 use irs_core::wire::{Request, Response, Wire};
 use irs_ledger::sharded::DEFAULT_SHARDS;
-use irs_ledger::{ConcurrentLedger, Ledger};
+use irs_ledger::ConcurrentLedger;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -63,14 +63,6 @@ fn serve_frame(ledger: &ConcurrentLedger, frame: bytes::Bytes) -> Response {
 }
 
 impl LedgerServer {
-    /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral) on
-    /// the reactor engine. The ledger is promoted to a
-    /// [`ConcurrentLedger`] with [`DEFAULT_SHARDS`] stripes; records,
-    /// published filter snapshots, and stats carry over.
-    pub fn start(ledger: Ledger, addr: &str) -> std::io::Result<LedgerServer> {
-        LedgerServer::start_shared(Arc::new(ledger.into_concurrent(DEFAULT_SHARDS)), addr)
-    }
-
     /// Start a *durable* ledger server: recover any state the disk holds
     /// (snapshot + WAL tail, tolerating a torn final record) **before**
     /// the listening socket accepts its first connection, then serve
@@ -90,9 +82,10 @@ impl LedgerServer {
         LedgerServer::start_shared(Arc::new(ledger), addr)
     }
 
-    /// Start serving an already-shared concurrent ledger (callers that
-    /// want to drive the same instance from outside the server, or to
-    /// pick a stripe count) on the reactor engine with default tuning.
+    /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral) on
+    /// the reactor engine with default tuning. Callers keep their own
+    /// `Arc` to drive the same instance from outside the server
+    /// (publishes, appeals, stats).
     pub fn start_shared(
         ledger: Arc<ConcurrentLedger>,
         addr: &str,
@@ -304,11 +297,11 @@ mod tests {
     use irs_ledger::LedgerConfig;
 
     fn server() -> LedgerServer {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(1),
         );
-        LedgerServer::start(ledger, "127.0.0.1:0").unwrap()
+        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
     }
 
     #[test]
@@ -468,15 +461,11 @@ mod tests {
 
     #[test]
     fn threaded_baseline_still_serves() {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(8),
         );
-        let server = LedgerServer::start_threaded(
-            Arc::new(ledger.into_concurrent(DEFAULT_SHARDS)),
-            "127.0.0.1:0",
-        )
-        .unwrap();
+        let server = LedgerServer::start_threaded(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let mut client = LedgerClient::connect(server.addr()).unwrap();
         assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
         server.shutdown();
@@ -557,12 +546,12 @@ mod tests {
     }
 
     fn governed(governor: GovernorPolicy) -> LedgerServer {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(1),
         );
         LedgerServer::start_governed(
-            Arc::new(ledger.into_concurrent(DEFAULT_SHARDS)),
+            Arc::new(ledger),
             "127.0.0.1:0",
             ReactorConfig {
                 workers: 1,

@@ -28,10 +28,10 @@
 //!   correlation slots over one shared connection;
 //! * [`server`] — the thread-per-connection accept-loop harness
 //!   (baseline engine);
-//! * [`ledger_server`] — a [`irs_ledger::Ledger`] behind the wire
-//!   protocol;
-//! * [`proxy_server`] — an [`irs_proxy::IrsProxy`] that answers locally
-//!   when it can and forwards filter misses upstream;
+//! * [`ledger_server`] — a shared [`irs_ledger::ConcurrentLedger`]
+//!   behind the wire protocol;
+//! * [`proxy_server`] — a shared [`irs_proxy::SharedProxy`] that answers
+//!   locally when it can and forwards filter misses upstream;
 //! * [`client`] — blocking request/response clients with timeouts;
 //! * [`refresh`] — the proxy's hourly filter pull (full or delta) over
 //!   the wire;
@@ -60,8 +60,7 @@ pub use mux::MuxClient;
 pub use proxy_server::ProxyServer;
 pub use reactor::{Reactor, ReactorConfig, ReactorHandle};
 pub use refresh::{
-    refresh_filter, refresh_shared_filter, refresh_shared_filter_tiered, refresh_tiered_filter,
-    RefreshOutcome, RefreshWorker,
+    refresh_shared_filter, refresh_shared_filter_tiered, RefreshOutcome, RefreshWorker,
 };
 pub use resilient::{ResilientClient, RetryPolicy};
 pub use server::ServerHandle;

@@ -26,7 +26,7 @@ use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
 use crate::service::{stacks, BoxService, CallCtx, Service};
 use crate::NetError;
 use irs_core::wire::{Request, Response, Wire};
-use irs_proxy::{IrsProxy, SharedProxy};
+use irs_proxy::SharedProxy;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -45,19 +45,8 @@ fn proxy_workers() -> usize {
 
 impl ProxyServer {
     /// Start a proxy on `addr`, forwarding filter misses to the ledger at
-    /// `upstream` with the plain single-attempt stack. The sequential
-    /// proxy is promoted to a [`SharedProxy`] (filters and counters
-    /// carry over).
-    pub fn start(
-        proxy: IrsProxy,
-        addr: &str,
-        upstream: SocketAddr,
-    ) -> std::io::Result<ProxyServer> {
-        ProxyServer::start_shared(Arc::new(SharedProxy::from_proxy(proxy)), addr, upstream)
-    }
-
-    /// Start serving an already-shared proxy (callers that refresh its
-    /// filters from outside the server while it runs), plain stack.
+    /// `upstream` with the plain single-attempt stack. Callers keep their
+    /// own `Arc` to refresh filters from outside the server while it runs.
     pub fn start_shared(
         proxy: Arc<SharedProxy>,
         addr: &str,
@@ -181,17 +170,17 @@ mod tests {
     use irs_core::wire::{Request, Response};
     use irs_crypto::{Digest, Keypair};
     use irs_filters::BloomFilter;
-    use irs_ledger::{Ledger, LedgerConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
     use irs_proxy::ProxyConfig;
 
     /// Full bootstrap chain over loopback: browser → proxy → ledger.
     #[test]
     fn proxy_chain_end_to_end() {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(1),
         );
-        let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
 
         // Owner claims a photo directly at the ledger.
         let mut owner = LedgerClient::connect(ledger_server.addr()).unwrap();
@@ -206,14 +195,15 @@ mod tests {
         // the hourly snapshot not yet refreshed), so its lookup exercises
         // the upstream-forwarding path; unclaimed ids miss and are
         // answered locally.
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
+        let proxy = SharedProxy::new(ProxyConfig::default());
         let mut filter = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
         filter.insert(id.filter_key());
         proxy
-            .filters
-            .apply_full(LedgerId(1), 1, filter.to_bytes())
+            .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
             .unwrap();
-        let proxy_server = ProxyServer::start(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
+        let proxy_server =
+            ProxyServer::start_shared(Arc::new(proxy), "127.0.0.1:0", ledger_server.addr())
+                .unwrap();
 
         // Browser queries through the proxy.
         let mut browser = LedgerClient::connect(proxy_server.addr()).unwrap();
@@ -252,13 +242,13 @@ mod tests {
 
     #[test]
     fn proxy_rejects_non_query_requests() {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(2),
         );
-        let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let proxy_server = ProxyServer::start(
-            IrsProxy::new(ProxyConfig::default()),
+        let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+        let proxy_server = ProxyServer::start_shared(
+            Arc::new(SharedProxy::new(ProxyConfig::default())),
             "127.0.0.1:0",
             ledger_server.addr(),
         )
@@ -281,15 +271,14 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
+        let proxy = SharedProxy::new(ProxyConfig::default());
         // An installed (empty) filter lets a miss resolve locally — no
         // live ledger needed for this scrape.
         let filter = BloomFilter::with_params(1 << 10, 4, 0).unwrap();
         proxy
-            .filters
-            .apply_full(LedgerId(1), 1, filter.to_bytes())
+            .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
             .unwrap();
-        let proxy_server = ProxyServer::start(proxy, "127.0.0.1:0", dead).unwrap();
+        let proxy_server = ProxyServer::start_shared(Arc::new(proxy), "127.0.0.1:0", dead).unwrap();
         let mut client = LedgerClient::connect(proxy_server.addr()).unwrap();
         let miss = RecordId::new(LedgerId(1), 424_242);
         assert!(matches!(
@@ -315,11 +304,11 @@ mod tests {
     /// uncached id comes back `Unavailable`, never a bogus status.
     #[test]
     fn dead_upstream_serves_stale_then_unavailable() {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(3),
         );
-        let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let upstream_addr = ledger_server.addr();
 
         // A real claimed record (so the upstream query has an answer) and

@@ -1,12 +1,14 @@
 //! Wire-level filter refresh: how a proxy keeps its revoked-set filters
 //! current over the network (§4.4's hourly publication, on real sockets).
 //!
-//! Two entry points: [`refresh_filter`] for the sequential [`IrsProxy`]
-//! (simulator, single-threaded tools) and [`refresh_shared_filter`] for
-//! a served [`SharedProxy`] — the latter runs the version check and the
-//! apply inside one `update_filters` transaction, so concurrent lookups
-//! keep reading the old snapshot until the new one swaps in, and two
-//! racing refreshes cannot interleave their version reads and writes.
+//! Four entry points, all against a [`SharedProxy`]: the legacy Bloom
+//! pipeline ([`refresh_shared_filter`]) and the tiered one
+//! ([`refresh_shared_filter_tiered`]), each over a plain
+//! [`LedgerClient`] or, with the `_via` suffix, over a composed
+//! [`Service`] stack. Every one runs the version check and the apply
+//! inside one `update_filters` transaction, so concurrent lookups keep
+//! reading the old snapshot until the new one swaps in, and two racing
+//! refreshes cannot interleave their version reads and writes.
 //!
 //! [`RefreshWorker`] runs the shared refresh on a background thread and
 //! is built to survive a hostile network: a down ledger costs a failure
@@ -23,7 +25,7 @@ use irs_core::time::{Clock, SystemClock};
 use irs_core::wire::{Request, Response};
 use irs_obs::{Counter, Gauge};
 use irs_proxy::filterset::FilterSet;
-use irs_proxy::{IrsProxy, SharedProxy};
+use irs_proxy::SharedProxy;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,21 +70,10 @@ pub enum RefreshOutcome {
 }
 
 /// Pull the ledger's current filter into the proxy, using a delta when the
-/// proxy's held version allows it.
-pub fn refresh_filter(
-    proxy: &mut IrsProxy,
-    client: &mut LedgerClient,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters.version(ledger);
-    let response = client.call(&Request::GetFilter { have_version: have })?;
-    apply_response(&mut proxy.filters, ledger, response)
-}
-
-/// [`refresh_filter`] against a served [`SharedProxy`]. The wire call
-/// happens outside any lock; the version check and apply run inside one
-/// filter-set transaction, and in-flight lookups are never blocked for
-/// longer than the snapshot pointer swap.
+/// proxy's held version allows it. The wire call happens outside any
+/// lock; the version check and apply run inside one filter-set
+/// transaction, and in-flight lookups are never blocked for longer than
+/// the snapshot pointer swap.
 pub fn refresh_shared_filter(
     proxy: &SharedProxy,
     client: &mut LedgerClient,
@@ -137,29 +128,12 @@ fn apply_response(
 
 /// Epoch-aware refresh against the tiered pipeline (DESIGN.md §16):
 /// sends [`Request::GetFilterTiered`] with the held `(epoch, version)`
-/// and applies whichever tier the serve matrix answers with. A server
-/// predating the tiered pipeline answers [`Response::Unsupported`], and
-/// the refresh degrades to the legacy [`refresh_filter`] flow in the
-/// same round.
-pub fn refresh_tiered_filter(
-    proxy: &mut IrsProxy,
-    client: &mut LedgerClient,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let (have_epoch, have_version) = proxy.filters.tiered_state(ledger);
-    let response = client.call(&Request::GetFilterTiered {
-        have_epoch,
-        have_version,
-    })?;
-    if matches!(response, Response::Unsupported { .. }) {
-        return refresh_filter(proxy, client, ledger);
-    }
-    apply_tiered_response(&mut proxy.filters, ledger, response)
-}
-
-/// [`refresh_tiered_filter`] against a served [`SharedProxy`]: the wire
+/// and applies whichever tier the serve matrix answers with. The wire
 /// call runs outside any lock, and the `(epoch, version)` recheck plus
-/// the apply run inside one `update_filters` transaction.
+/// the apply run inside one `update_filters` transaction. A server
+/// predating the tiered pipeline answers [`Response::Unsupported`], and
+/// the refresh degrades to the legacy [`refresh_shared_filter`] flow in
+/// the same round.
 pub fn refresh_shared_filter_tiered(
     proxy: &SharedProxy,
     client: &mut LedgerClient,
@@ -537,12 +511,12 @@ mod tests {
     use irs_core::claim::RevokeRequest;
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
-    use irs_ledger::{Ledger, LedgerConfig};
-    use irs_proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
+    use irs_proxy::{LookupOutcome, ProxyConfig};
 
     #[test]
     fn full_then_current_over_wire() {
-        let mut ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(9),
         );
@@ -556,12 +530,12 @@ mod tests {
         let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
         ledger.handle(Request::Revoke(rv), TimeMs(1));
         ledger.publish_filter();
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let mut client = LedgerClient::connect(server.addr()).unwrap();
 
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
+        let proxy = SharedProxy::new(ProxyConfig::default());
         // First refresh: full.
-        let outcome = refresh_filter(&mut proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
         assert!(matches!(
             outcome,
             RefreshOutcome::InstalledFull { version: 1, .. }
@@ -572,14 +546,14 @@ mod tests {
             "revoked id hits the freshly pulled filter"
         );
         // Second refresh with no churn: already current.
-        let outcome = refresh_filter(&mut proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
         assert_eq!(outcome, RefreshOutcome::AlreadyCurrent);
         server.shutdown();
     }
 
     #[test]
     fn delta_served_when_one_version_behind() {
-        let mut ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(11),
         );
@@ -601,11 +575,11 @@ mod tests {
         ledger.handle(Request::Revoke(rv), TimeMs(2));
         ledger.publish_filter();
 
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let mut client = LedgerClient::connect(server.addr()).unwrap();
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
-        refresh_filter(&mut proxy, &mut client, LedgerId(1)).unwrap();
-        assert_eq!(proxy.filters.version(LedgerId(1)), 1);
+        let proxy = SharedProxy::new(ProxyConfig::default());
+        refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
+        assert_eq!(proxy.filters_snapshot().version(LedgerId(1)), 1);
 
         // Churn: revoke b, publish v2 while the server is live — all
         // `&self` on the shared concurrent ledger.
@@ -616,7 +590,7 @@ mod tests {
             l.publish_filter();
         }
         // Refresh again: must arrive as a delta, and b must now hit.
-        let outcome = refresh_filter(&mut proxy, &mut client, LedgerId(1)).unwrap();
+        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
         assert!(
             matches!(outcome, RefreshOutcome::AppliedDelta { version: 2, .. }),
             "{outcome:?}"
@@ -658,7 +632,7 @@ mod tests {
         assert_eq!(proxy.filters_snapshot().tiered_state(LedgerId(1)), (0, 0));
 
         // Bring the ledger up on that same port with a published filter.
-        let mut ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(15),
         );
@@ -671,7 +645,7 @@ mod tests {
         let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
         ledger.handle(Request::Revoke(rv), TimeMs(1));
         ledger.publish_filter();
-        let server = LedgerServer::start(ledger, &addr.to_string()).unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), &addr.to_string()).unwrap();
 
         // The worker must recover on its own: tiered filter installed,
         // failure run reset.
@@ -699,7 +673,7 @@ mod tests {
         use irs_core::claim::RevokeRequest;
         // Shard 1 is live with a published filter; shard 2 is a reserved
         // but unbound port — every fetch against it times out.
-        let mut ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(21),
         );
@@ -712,7 +686,7 @@ mod tests {
         let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
         ledger.handle(Request::Revoke(rv), TimeMs(1));
         ledger.publish_filter();
-        let live = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let live = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let dead_addr = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
@@ -785,65 +759,14 @@ mod tests {
 
     #[test]
     fn unpublished_filter_is_an_error() {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(10),
         );
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let mut client = LedgerClient::connect(server.addr()).unwrap();
-        let mut proxy = IrsProxy::new(ProxyConfig::default());
-        assert!(refresh_filter(&mut proxy, &mut client, LedgerId(1)).is_err());
-        server.shutdown();
-    }
-
-    #[test]
-    fn shared_refresh_full_then_delta() {
-        // Same flow as the sequential tests, but against a SharedProxy —
-        // the shape a served proxy uses while connection threads run.
-        let mut ledger = Ledger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(12),
-        );
-        let mut cam = Camera::new(12, 96, 96);
-        let shot = cam.capture(0);
-        let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(0))
-        else {
-            panic!()
-        };
-        let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
-        ledger.handle(Request::Revoke(rv), TimeMs(1));
-        ledger.publish_filter();
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
-
         let proxy = SharedProxy::new(ProxyConfig::default());
-        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
-        assert!(matches!(
-            outcome,
-            RefreshOutcome::InstalledFull { version: 1, .. }
-        ));
-        assert_eq!(
-            proxy.lookup(id, TimeMs(5)),
-            LookupOutcome::NeedsLedgerQuery,
-            "revoked id hits the pulled filter"
-        );
-
-        // Churn on the live ledger, then a delta refresh.
-        let shot_b = cam.capture(1);
-        let l = server.ledger();
-        let (b, _) = l
-            .claim_revoked(shot_b.claim, TimeMs(6))
-            .expect("in-memory ledger cannot fail a claim");
-        l.publish_filter();
-        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
-        assert!(
-            matches!(outcome, RefreshOutcome::AppliedDelta { version: 2, .. }),
-            "{outcome:?}"
-        );
-        assert_eq!(proxy.lookup(b, TimeMs(7)), LookupOutcome::NeedsLedgerQuery);
-        // No churn: already current.
-        let outcome = refresh_shared_filter(&proxy, &mut client, LedgerId(1)).unwrap();
-        assert_eq!(outcome, RefreshOutcome::AlreadyCurrent);
+        assert!(refresh_shared_filter(&proxy, &mut client, LedgerId(1)).is_err());
         server.shutdown();
     }
 
@@ -858,7 +781,7 @@ mod tests {
             delta_fpr: 1e-3,
             compact_at: 4,
         };
-        let mut ledger = Ledger::new(config, TimestampAuthority::from_seed(31));
+        let ledger = ConcurrentLedger::new(config, TimestampAuthority::from_seed(31));
         let mut cam = Camera::new(31, 96, 96);
         let shot = cam.capture(0);
         let Response::Claimed { id, .. } = ledger.handle(Request::Claim(shot.claim), TimeMs(0))
@@ -868,7 +791,7 @@ mod tests {
         let rv = RevokeRequest::create(&shot.keypair, id, true, 0);
         ledger.handle(Request::Revoke(rv), TimeMs(1));
         ledger.publish_filter();
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let mut client = LedgerClient::connect(server.addr()).unwrap();
 
         // Bootstrap: full tiered install (no epoch sealed yet).

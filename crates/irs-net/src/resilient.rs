@@ -145,15 +145,16 @@ mod tests {
     use crate::service::jittered_backoff;
     use irs_core::ids::LedgerId;
     use irs_core::tsa::TimestampAuthority;
-    use irs_ledger::{Ledger, LedgerConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
+    use std::sync::Arc;
     use std::time::Instant;
 
     fn ledger_server() -> LedgerServer {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(0x2E5),
         );
-        LedgerServer::start(ledger, "127.0.0.1:0").unwrap()
+        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
     }
 
     #[test]

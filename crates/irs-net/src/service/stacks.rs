@@ -241,7 +241,7 @@ mod tests {
     use irs_core::wire::{Request, Response};
     use irs_crypto::{Digest, Keypair};
     use irs_filters::BloomFilter;
-    use irs_ledger::{Ledger, LedgerConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
     use irs_proxy::ProxyConfig;
 
     /// End-to-end over loopback: a full stack answers locally, goes
@@ -250,11 +250,11 @@ mod tests {
     /// does through the proxy server, here against the bare stack.
     #[test]
     fn full_stack_walks_the_ladder() {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(31),
         );
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let mut owner = crate::client::LedgerClient::connect(server.addr()).unwrap();
         let kp = Keypair::from_seed(&[7u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"stacked"));
@@ -303,11 +303,11 @@ mod tests {
     fn full_stack_traced_query_attributes_every_layer() {
         use irs_obs::SpanRecorder;
 
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(32),
         );
-        let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
         let mut owner = crate::client::LedgerClient::connect(server.addr()).unwrap();
         let kp = Keypair::from_seed(&[8u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"traced"));

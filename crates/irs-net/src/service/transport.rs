@@ -147,14 +147,14 @@ mod tests {
     use irs_core::ids::LedgerId;
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
-    use irs_ledger::{Ledger, LedgerConfig};
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
     fn ledger_server() -> LedgerServer {
-        let ledger = Ledger::new(
+        let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
             TimestampAuthority::from_seed(0x7C9),
         );
-        LedgerServer::start(ledger, "127.0.0.1:0").unwrap()
+        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
     }
 
     #[test]
@@ -179,11 +179,11 @@ mod tests {
         server.shutdown();
         assert!(t.call(Request::Ping, &ctx).is_err());
         let server = {
-            let ledger = Ledger::new(
+            let ledger = ConcurrentLedger::new(
                 LedgerConfig::new(LedgerId(1)),
                 TimestampAuthority::from_seed(0x7C9),
             );
-            LedgerServer::start(ledger, &addr.to_string()).unwrap()
+            LedgerServer::start_shared(Arc::new(ledger), &addr.to_string()).unwrap()
         };
         assert_eq!(t.call(Request::Ping, &ctx).unwrap(), Response::Pong);
         assert!(t.reconnects() >= 1);

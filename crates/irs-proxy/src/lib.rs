@@ -10,16 +10,13 @@
 //! * [`lru`] — the TTL'd LRU lookup cache;
 //! * [`filterset`] — per-ledger filter versions, delta refresh, and the
 //!   merged OR filter;
-//! * [`proxy`] — [`IrsProxy`]: the decision pipeline (filter → cache →
-//!   ledger) as a sans-io state machine usable from both the simulator and
-//!   the TCP server;
+//! * [`shared`] — [`SharedProxy`]: the decision pipeline (filter → cache
+//!   → ledger) as a sans-io state machine with a fully `&self` lookup
+//!   path (snapshot-swapped filters, striped cache, atomic counters),
+//!   used by the simulator (one stripe) and the TCP server alike;
 //! * [`batch`] — upstream query batching with a k-anonymity floor (the
 //!   aggregation that §4.2's privacy argument rests on);
-//! * [`privacy`] — attribution accounting for experiment E13.
-
-//! * [`shared`] — [`SharedProxy`]: the same pipeline with a fully
-//!   `&self` lookup path (snapshot-swapped filters, striped cache,
-//!   atomic counters) for multi-threaded servers;
+//! * [`privacy`] — attribution accounting for experiment E13;
 //! * [`health`] — per-ledger circuit breakers driving the degradation
 //!   ladder (retry → failover → stale-serve → fail-open).
 
@@ -28,12 +25,10 @@ pub mod filterset;
 pub mod health;
 pub mod lru;
 pub mod privacy;
-pub mod proxy;
 pub mod shared;
 
 pub use batch::{Batch, BatchConfig, Batcher};
 pub use filterset::FilterSet;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use lru::LruTtlCache;
-pub use proxy::{IrsProxy, LookupOutcome, ProxyConfig, ProxyStats};
-pub use shared::{DegradedStats, SharedProxy};
+pub use shared::{DegradedStats, LookupOutcome, ProxyConfig, ProxyStats, SharedProxy};

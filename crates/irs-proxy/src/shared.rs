@@ -1,5 +1,12 @@
-//! Read-mostly shared proxy: the `&self` counterpart of [`IrsProxy`],
-//! safe to share across connection threads behind a plain `Arc`.
+//! The proxy decision pipeline (filter → cache → ledger), with a fully
+//! `&self` lookup path safe to share across connection threads behind a
+//! plain `Arc`.
+//!
+//! Sans-io: [`SharedProxy::lookup`] classifies a validation request into
+//! a local answer or a required ledger query, and
+//! [`SharedProxy::complete`] feeds the ledger's answer back. The caller
+//! (simulator event handler or TCP connection thread) owns all actual
+//! I/O, so one implementation serves both deployments.
 //!
 //! Three pieces of state, each synchronized to its access pattern:
 //!
@@ -14,14 +21,16 @@
 //!   `Mutex`, keyed by the record's filter key. Lookups on different
 //!   stripes never contend.
 //! * **Counters** — sharded lock-free [`Counter`]s in an
-//!   [`irs_obs::Registry`], snapshotted into the same [`ProxyStats`]
-//!   struct the sequential proxy exposes and rendered as text
-//!   exposition for the `Request::Metrics` wire message.
+//!   [`irs_obs::Registry`], snapshotted into [`ProxyStats`] and
+//!   rendered as text exposition for the `Request::Metrics` wire
+//!   message.
+//!
+//! Simulators that want the exact single-LRU cache behaviour build one
+//! stripe with [`SharedProxy::with_shards`]`(config, 1)`.
 
 use crate::filterset::FilterSet;
 use crate::health::{BreakerConfig, CircuitBreaker};
 use crate::lru::LruTtlCache;
-use crate::proxy::{IrsProxy, LookupOutcome, ProxyConfig, ProxyStats};
 use irs_core::claim::RevocationStatus;
 use irs_core::ids::{LedgerId, RecordId};
 use irs_core::time::TimeMs;
@@ -32,6 +41,68 @@ use std::sync::Arc;
 
 /// Default cache stripe count.
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
+
+/// Proxy configuration.
+#[derive(Clone, Copy, Debug)]
+pub struct ProxyConfig {
+    /// Status-cache capacity (entries).
+    pub cache_capacity: usize,
+    /// Status-cache TTL (ms) — the staleness bound on the proxy path.
+    pub cache_ttl_ms: u64,
+}
+
+impl Default for ProxyConfig {
+    fn default() -> Self {
+        ProxyConfig {
+            cache_capacity: 100_000,
+            cache_ttl_ms: 3_600_000,
+        }
+    }
+}
+
+/// What the proxy decides for one lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LookupOutcome {
+    /// Answered locally: the merged revoked-set filter misses, so no
+    /// ledger has this record revoked.
+    NotRevokedByFilter,
+    /// Answered locally from the status cache.
+    Cached(RevocationStatus),
+    /// The caller must query the record's home ledger and then call
+    /// [`SharedProxy::complete`].
+    NeedsLedgerQuery,
+}
+
+/// Load/behavior counters (read by experiments E4/E5/E13/E14).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProxyStats {
+    /// Total lookups served.
+    pub lookups: u64,
+    /// Lookups short-circuited by the merged filter.
+    pub filter_negative: u64,
+    /// Lookups answered from the cache.
+    pub cache_hits: u64,
+    /// Lookups that required a real ledger query.
+    pub ledger_queries: u64,
+}
+
+impl ProxyStats {
+    /// Fraction of lookups that reached a ledger.
+    pub fn ledger_query_fraction(&self) -> f64 {
+        if self.lookups == 0 {
+            return 0.0;
+        }
+        self.ledger_queries as f64 / self.lookups as f64
+    }
+
+    /// The §4.4 "load reduction factor": lookups per ledger query.
+    pub fn load_reduction(&self) -> f64 {
+        if self.ledger_queries == 0 {
+            return f64::INFINITY;
+        }
+        self.lookups as f64 / self.ledger_queries as f64
+    }
+}
 
 /// The proxy's metric handles: registered once at construction, so the
 /// lookup path touches only lock-free counters, never the registry map.
@@ -89,7 +160,35 @@ pub struct DegradedStats {
     pub breaker_opens: u64,
 }
 
-/// A proxy whose whole lookup path is `&self`.
+/// The IRS proxy; its whole lookup path is `&self`.
+///
+/// ```
+/// use irs_proxy::{LookupOutcome, ProxyConfig, SharedProxy};
+/// use irs_core::claim::RevocationStatus;
+/// use irs_core::ids::{LedgerId, RecordId};
+/// use irs_core::time::TimeMs;
+/// use irs_filters::BloomFilter;
+///
+/// let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
+/// // Install a ledger's revoked-set filter containing one record.
+/// let revoked = RecordId::new(LedgerId(1), 7);
+/// let mut f = BloomFilter::for_capacity(1_000, 0.02).unwrap();
+/// f.insert(revoked.filter_key());
+/// proxy
+///     .update_filters(|fs| fs.apply_full(LedgerId(1), 1, f.to_bytes()))
+///     .unwrap();
+///
+/// // A photo outside the revoked set is answered locally…
+/// let clean = RecordId::new(LedgerId(1), 1_000);
+/// assert_eq!(proxy.lookup(clean, TimeMs(0)), LookupOutcome::NotRevokedByFilter);
+/// // …the revoked one needs a real query, whose answer is then cached.
+/// assert_eq!(proxy.lookup(revoked, TimeMs(0)), LookupOutcome::NeedsLedgerQuery);
+/// proxy.complete(revoked, RevocationStatus::Revoked, TimeMs(0));
+/// assert_eq!(
+///     proxy.lookup(revoked, TimeMs(1)),
+///     LookupOutcome::Cached(RevocationStatus::Revoked)
+/// );
+/// ```
 pub struct SharedProxy {
     filters: RwLock<Arc<FilterSet>>,
     /// Serializes refreshes so two concurrent `update_filters` calls
@@ -135,29 +234,15 @@ impl SharedProxy {
         self
     }
 
-    /// Promote a sequential [`IrsProxy`]: installed filters and counters
-    /// carry over; the status cache starts cold (entries are
-    /// re-populated by the first post-promotion lookups, bounded by the
-    /// same TTL that already bounded their staleness).
-    pub fn from_proxy(proxy: IrsProxy) -> SharedProxy {
-        let shared = SharedProxy::new(proxy.config());
-        *shared.filters.write() = Arc::new(proxy.filters);
-        // Fresh counters start at zero, so carrying the sequential
-        // totals over is a plain add.
-        let stats = proxy.stats;
-        shared.obs.lookups.add(stats.lookups);
-        shared.obs.filter_negative.add(stats.filter_negative);
-        shared.obs.cache_hits.add(stats.cache_hits);
-        shared.obs.ledger_queries.add(stats.ledger_queries);
-        shared
+    /// Cache stripe for a record, by its filter key (a SHA-256: callers
+    /// that already hold the key pass it instead of hashing again).
+    fn shard_of(&self, key: u64) -> usize {
+        (key % self.cache_shards.len() as u64) as usize
     }
 
-    fn shard_of(&self, id: &RecordId) -> usize {
-        (id.filter_key() % self.cache_shards.len() as u64) as usize
-    }
-
-    /// Classify a lookup: merged filter, then cache stripe, then ledger.
-    /// Same decision pipeline as [`IrsProxy::lookup`], but `&self`.
+    /// Classify a lookup. Order: merged revoked-set filter (cheapest,
+    /// answers the common "viewed photo is not revoked" case), then the
+    /// cache stripe, then the ledger.
     pub fn lookup(&self, id: RecordId, now: TimeMs) -> LookupOutcome {
         self.lookup_traced(id, now, None)
     }
@@ -173,10 +258,11 @@ impl SharedProxy {
         trace: Option<&Arc<SpanRecorder>>,
     ) -> LookupOutcome {
         self.obs.lookups.inc();
+        let key = id.filter_key();
         {
             let span = SpanRecorder::maybe(trace, "proxy:filter");
             let filters = self.filters_snapshot();
-            if filters.might_be_revoked(id.filter_key()) == Some(false) {
+            if filters.might_be_revoked(key) == Some(false) {
                 self.obs.filter_negative.inc();
                 span.verdict("negative");
                 return LookupOutcome::NotRevokedByFilter;
@@ -185,7 +271,7 @@ impl SharedProxy {
         }
         {
             let span = SpanRecorder::maybe(trace, "proxy:cache");
-            if let Some(status) = self.cache_shards[self.shard_of(&id)].lock().get(&id, now) {
+            if let Some(status) = self.cache_shards[self.shard_of(key)].lock().get(&id, now) {
                 self.obs.cache_hits.inc();
                 span.verdict("hit");
                 return LookupOutcome::Cached(status);
@@ -198,7 +284,7 @@ impl SharedProxy {
 
     /// Record a ledger answer (populates the cache stripe).
     pub fn complete(&self, id: RecordId, status: RevocationStatus, now: TimeMs) {
-        self.cache_shards[self.shard_of(&id)]
+        self.cache_shards[self.shard_of(id.filter_key())]
             .lock()
             .insert(id, status, now);
     }
@@ -208,7 +294,7 @@ impl SharedProxy {
     /// [`DegradedStats`] as a stale serve when it produces an answer and
     /// as unavailable when it does not.
     pub fn lookup_stale(&self, id: RecordId, now: TimeMs) -> Option<(RevocationStatus, u64)> {
-        let found = self.cache_shards[self.shard_of(&id)]
+        let found = self.cache_shards[self.shard_of(id.filter_key())]
             .lock()
             .peek_stale(&id, now);
         match found {
@@ -248,7 +334,9 @@ impl SharedProxy {
 
     /// Drop a cached status (revocation push / probe finding).
     pub fn invalidate(&self, id: &RecordId) {
-        self.cache_shards[self.shard_of(id)].lock().invalidate(id);
+        self.cache_shards[self.shard_of(id.filter_key())]
+            .lock()
+            .invalidate(id);
     }
 
     /// The current filter snapshot (cheap `Arc` clone; never blocks on
@@ -341,11 +429,13 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_matches_sequential_proxy() {
+    fn lookup_pipeline_filter_then_cache_then_ledger() {
         let p = SharedProxy::new(ProxyConfig {
             cache_capacity: 16,
             cache_ttl_ms: 1_000,
         });
+        // No filter installed: nothing can be answered locally.
+        assert_eq!(p.lookup(rid(5), TimeMs(0)), LookupOutcome::NeedsLedgerQuery);
         install_filter(&p, &[rid(1)]);
         // Filter miss: local. Filter hit: ledger, then cached, then TTL.
         assert_eq!(
@@ -371,29 +461,32 @@ mod tests {
             "invalidate purges"
         );
         let stats = p.stats();
-        assert_eq!(stats.lookups, 5);
+        assert_eq!(stats.lookups, 6);
         assert_eq!(stats.filter_negative, 1);
         assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.ledger_queries, 3);
+        assert_eq!(stats.ledger_queries, 4);
     }
 
     #[test]
-    fn promotion_carries_filters_and_stats() {
-        let mut seq = IrsProxy::new(ProxyConfig::default());
-        let mut f = BloomFilter::with_params(1 << 14, 6, 0).unwrap();
-        f.insert(rid(3).filter_key());
-        seq.filters
-            .apply_full(LedgerId(1), 4, f.to_bytes())
-            .unwrap();
-        let _ = seq.lookup(rid(3), TimeMs(0));
-        let shared = SharedProxy::from_proxy(seq);
-        assert_eq!(shared.filters_snapshot().version(LedgerId(1)), 4);
-        assert_eq!(shared.stats().lookups, 1);
-        // Filter still answers.
-        assert_eq!(
-            shared.lookup(rid(888_888), TimeMs(1)),
-            LookupOutcome::NotRevokedByFilter
+    fn filter_short_circuits_and_load_reduction() {
+        let p = SharedProxy::with_shards(ProxyConfig::default(), 1);
+        install_filter(&p, &[rid(1), rid(2)]);
+        // Ids outside the revoked set overwhelmingly answered locally.
+        let local = (1_000..2_000u64)
+            .filter(|&n| p.lookup(rid(n), TimeMs(0)) == LookupOutcome::NotRevokedByFilter)
+            .count();
+        assert!(local > 950, "local {local}");
+        let s = p.stats();
+        assert_eq!(s.lookups, 1_000);
+        assert!(
+            s.load_reduction() > 10.0,
+            "reduction {}",
+            s.load_reduction()
         );
+        assert!(s.ledger_query_fraction() < 0.1);
+        let empty = ProxyStats::default();
+        assert_eq!(empty.ledger_query_fraction(), 0.0);
+        assert_eq!(empty.load_reduction(), f64::INFINITY);
     }
 
     #[test]

@@ -7,21 +7,23 @@
 //! ```
 
 use irs::filters::BloomFilter;
-use irs::ledger::{Ledger, LedgerConfig};
+use irs::ledger::{ConcurrentLedger, LedgerConfig};
 use irs::net::{LedgerClient, LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, ProxyConfig};
+use irs::proxy::{ProxyConfig, SharedProxy};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
     // Start the ledger server.
-    let ledger = Ledger::new(
+    let ledger = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(1),
     );
-    let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").expect("ledger server");
+    let ledger_server =
+        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").expect("ledger server");
     println!("ledger listening on {}", ledger_server.addr());
 
     // Owner claims 100 photos directly with the ledger; revokes 5.
@@ -55,13 +57,12 @@ fn main() {
     for id in &revoked {
         filter.insert(id.filter_key());
     }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
     proxy
-        .filters
-        .apply_full(LedgerId(1), 1, filter.to_bytes())
+        .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
         .expect("install filter");
-    let proxy_server =
-        ProxyServer::start(proxy, "127.0.0.1:0", ledger_server.addr()).expect("proxy server");
+    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr())
+        .expect("proxy server");
     println!("proxy listening on {}", proxy_server.addr());
 
     // The "browser": validate a mix of claimed, revoked, and unclaimed

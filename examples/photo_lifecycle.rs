@@ -10,7 +10,7 @@
 
 use irs::aggregator::{Aggregator, AggregatorConfig, LocalLedgers};
 use irs::imaging::watermark::WatermarkConfig;
-use irs::ledger::{Ledger, LedgerConfig};
+use irs::ledger::{ConcurrentLedger, LedgerConfig};
 use irs::protocol::ids::LedgerId;
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
@@ -19,8 +19,16 @@ use irs::protocol::{Camera, OwnerWallet, RevokeRequest, TimestampAuthority};
 fn main() {
     let tsa = TimestampAuthority::from_seed(7);
     let mut ledgers = LocalLedgers::new();
-    ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(0)), tsa.clone()));
-    ledgers.add(Ledger::new(LedgerConfig::new(LedgerId(1)), tsa));
+    ledgers.add(ConcurrentLedger::with_shards(
+        LedgerConfig::new(LedgerId(0)),
+        tsa.clone(),
+        1,
+    ));
+    ledgers.add(ConcurrentLedger::with_shards(
+        LedgerConfig::new(LedgerId(1)),
+        tsa,
+        1,
+    ));
     let mut aggregator = Aggregator::new(AggregatorConfig::default());
     let wm = WatermarkConfig::default();
 
@@ -29,7 +37,7 @@ fn main() {
     let shot = camera.capture(0);
     let keypair = shot.keypair.clone();
     let Response::Claimed { id, timestamp } = ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Claim(shot.claim), TimeMs(0))
     else {
@@ -53,7 +61,7 @@ fn main() {
     let (_, epoch) = ledgers.query_status(id);
     let rv = RevokeRequest::create(&keypair, id, true, epoch);
     ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Revoke(rv), t30);
     println!("day 30: owner revoked {id}");
@@ -77,7 +85,7 @@ fn main() {
     let (_, epoch) = ledgers.query_status(id);
     let unrv = RevokeRequest::create(&keypair, id, false, epoch);
     ledgers
-        .get_mut(LedgerId(1))
+        .get(LedgerId(1))
         .unwrap()
         .handle(Request::Revoke(unrv), t60);
     let report = aggregator.recheck(&mut ledgers, TimeMs(61 * 86_400_000));

@@ -7,7 +7,7 @@
 //! ```
 
 use irs::imaging::watermark::WatermarkConfig;
-use irs::ledger::{Ledger, LedgerConfig};
+use irs::ledger::{ConcurrentLedger, LedgerConfig};
 use irs::protocol::ids::LedgerId;
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
@@ -16,7 +16,7 @@ use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority}
 fn main() {
     // The ecosystem: one ledger, one timestamp authority, one camera.
     let tsa = TimestampAuthority::from_seed(1);
-    let mut ledger = Ledger::new(LedgerConfig::new(LedgerId(1)), tsa);
+    let ledger = ConcurrentLedger::with_shards(LedgerConfig::new(LedgerId(1)), tsa, 1);
     let mut camera = Camera::new(42, 256, 256);
 
     // 1. CLAIM — the camera takes a photo, generates a per-photo keypair,

@@ -39,12 +39,12 @@
 //! use irs::protocol::{Camera, TimestampAuthority, RevocationStatus};
 //! use irs::protocol::wire::{Request, Response};
 //! use irs::protocol::time::TimeMs;
-//! use irs::ledger::{Ledger, LedgerConfig};
+//! use irs::ledger::{ConcurrentLedger, LedgerConfig};
 //! use irs::protocol::ids::LedgerId;
 //!
 //! // A ledger and a camera.
-//! let mut ledger = Ledger::new(LedgerConfig::new(LedgerId(1)),
-//!                              TimestampAuthority::from_seed(1));
+//! let ledger = ConcurrentLedger::with_shards(LedgerConfig::new(LedgerId(1)),
+//!                                            TimestampAuthority::from_seed(1), 1);
 //! let mut camera = Camera::new(7, 256, 256);
 //!
 //! // Claim a photo.

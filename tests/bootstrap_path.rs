@@ -3,20 +3,19 @@
 //! the proxy, with the load and privacy properties the paper claims.
 
 use irs::browser::{BrowserValidator, ValidationPlan};
-use irs::ledger::service::{FilterPublisher, FilterUpdate};
-use irs::ledger::{Ledger, LedgerConfig};
+use irs::ledger::{ConcurrentLedger, LedgerConfig};
 use irs::protocol::ids::LedgerId;
 use irs::protocol::photo::LabelReading;
 use irs::protocol::policy::{ValidationOutcome, ViewerPolicy};
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs::proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 
 /// Claim `n` photos on the ledger; revoke those whose index is in
 /// `revoke`. Returns (ids, keypairs).
 fn populate(
-    ledger: &mut Ledger,
+    ledger: &ConcurrentLedger,
     n: usize,
     revoke: impl Fn(usize) -> bool,
 ) -> Vec<(irs::protocol::ids::RecordId, irs::crypto::Keypair)> {
@@ -40,25 +39,25 @@ fn populate(
 
 #[test]
 fn filter_pipeline_full_then_delta_roundtrip() {
-    let mut ledger = Ledger::new(
+    let ledger = ConcurrentLedger::with_shards(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(1),
+        1,
     );
-    let records = populate(&mut ledger, 50, |i| i % 10 == 0); // 5 revoked
-    let mut publisher = FilterPublisher::new();
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let records = populate(&ledger, 50, |i| i % 10 == 0); // 5 revoked
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
 
     // Hour 1: full snapshot.
-    match publisher.publish(&mut ledger) {
-        FilterUpdate::Full { version, data } => {
+    ledger.publish_filter();
+    match ledger.handle(Request::GetFilter { have_version: 0 }, TimeMs(1_000)) {
+        Response::FilterFull { version, data } => {
             proxy
-                .filters
-                .apply_full(LedgerId(1), version, data)
+                .update_filters(|fs| fs.apply_full(LedgerId(1), version, data))
                 .unwrap();
         }
         other => panic!("expected full, got {other:?}"),
     }
-    assert_eq!(proxy.filters.version(LedgerId(1)), 1);
+    assert_eq!(proxy.filters_snapshot().version(LedgerId(1)), 1);
 
     // Revoked records hit the filter; unrevoked ones miss.
     for (i, (id, _)) in records.iter().enumerate() {
@@ -81,12 +80,14 @@ fn filter_pipeline_full_then_delta_roundtrip() {
             ledger.handle(Request::Revoke(rv), TimeMs(2_000));
         }
     }
-    match publisher.publish(&mut ledger) {
-        FilterUpdate::Delta {
+    ledger.publish_filter();
+    let full_bytes = ledger.published_filter().unwrap().to_bytes().len();
+    let have_version = proxy.filters_snapshot().version(LedgerId(1));
+    match ledger.handle(Request::GetFilter { have_version }, TimeMs(2_000)) {
+        Response::FilterDelta {
             from_version,
             to_version,
             data,
-            full_bytes,
         } => {
             assert!(
                 data.len() < full_bytes / 4,
@@ -95,8 +96,7 @@ fn filter_pipeline_full_then_delta_roundtrip() {
                 full_bytes
             );
             proxy
-                .filters
-                .apply_delta(LedgerId(1), from_version, to_version, data)
+                .update_filters(|fs| fs.apply_delta(LedgerId(1), from_version, to_version, data))
                 .unwrap();
         }
         other => panic!("expected delta, got {other:?}"),
@@ -115,19 +115,21 @@ fn filter_pipeline_full_then_delta_roundtrip() {
 
 #[test]
 fn browser_proxy_ledger_validation_chain() {
-    let mut ledger = Ledger::new(
+    let ledger = ConcurrentLedger::with_shards(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(2),
+        1,
     );
-    let records = populate(&mut ledger, 30, |i| i == 3);
-    let mut publisher = FilterPublisher::new();
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
-    let FilterUpdate::Full { version, data } = publisher.publish(&mut ledger) else {
+    let records = populate(&ledger, 30, |i| i == 3);
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
+    ledger.publish_filter();
+    let Response::FilterFull { version, data } =
+        ledger.handle(Request::GetFilter { have_version: 0 }, TimeMs(4_000))
+    else {
         panic!("full expected");
     };
     proxy
-        .filters
-        .apply_full(LedgerId(1), version, data)
+        .update_filters(|fs| fs.apply_full(LedgerId(1), version, data))
         .unwrap();
 
     let mut validator = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
@@ -173,13 +175,14 @@ fn browser_proxy_ledger_validation_chain() {
 #[test]
 fn in_browser_filter_cuts_proxy_traffic() {
     // §4.4's early-adoption variant: the browser itself holds the filter.
-    let mut ledger = Ledger::new(
+    let ledger = ConcurrentLedger::with_shards(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(3),
+        1,
     );
-    let records = populate(&mut ledger, 40, |i| i == 0);
+    let records = populate(&ledger, 40, |i| i == 0);
     ledger.publish_filter();
-    let filter = ledger.published_filter().unwrap().clone();
+    let filter = ledger.published_filter().unwrap();
 
     let mut with_filter = BrowserValidator::new(ViewerPolicy::default(), 128, 60_000);
     with_filter.install_filter(filter);

@@ -6,12 +6,13 @@
 
 use irs::crypto::{Digest, Keypair};
 use irs::filters::BloomFilter;
-use irs::ledger::{Ledger, LedgerConfig};
+use irs::ledger::{ConcurrentLedger, LedgerConfig};
 use irs::net::{LedgerClient, LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{ClaimRequest, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, ProxyConfig};
+use irs::proxy::{ProxyConfig, SharedProxy};
+use std::sync::Arc;
 
 const WRITERS: u64 = 4;
 const RECORDS_PER_WRITER: u64 = 10;
@@ -73,11 +74,11 @@ fn hammer_record(
 fn hammer_ledger_and_proxy_under_concurrency() {
     let threads_before = os_thread_count();
 
-    let ledger = Ledger::new(
+    let ledger = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(42),
     );
-    let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+    let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
     let ledger_addr = ledger_server.addr();
 
     // Phase 1: writers claim and flip while readers hammer queries on
@@ -146,12 +147,11 @@ fn hammer_ledger_and_proxy_under_concurrency() {
     for (id, _) in &finals {
         filter.insert(id.filter_key());
     }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
     proxy
-        .filters
-        .apply_full(LedgerId(1), 1, filter.to_bytes())
+        .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
         .unwrap();
-    let proxy_server = ProxyServer::start(proxy, "127.0.0.1:0", ledger_addr).unwrap();
+    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_addr).unwrap();
     let proxy_addr = proxy_server.addr();
 
     // Warm pass: one browser visits every record serially, forwarding

@@ -7,7 +7,7 @@ use irs::aggregator::{Aggregator, AggregatorConfig, LedgerDirectory};
 use irs::imaging::watermark::WatermarkConfig;
 use irs::ledger::adversarial::{AdversarialLedger, Misbehavior};
 use irs::ledger::probe::Prober;
-use irs::ledger::{Ledger, LedgerConfig};
+use irs::ledger::{ConcurrentLedger, LedgerConfig};
 use irs::net::{LedgerClient, LedgerServer};
 use irs::protocol::claim::ClaimRequest;
 use irs::protocol::ids::{LedgerId, RecordId};
@@ -15,18 +15,24 @@ use irs::protocol::time::TimeMs;
 use irs::protocol::tsa::TimestampAuthority;
 use irs::protocol::wire::{Request, Response, Wire};
 use irs::protocol::{Camera, UploadDecision};
-use irs::proxy::{IrsProxy, ProxyConfig};
+use irs::proxy::{ProxyConfig, SharedProxy};
+use std::sync::Arc;
 
-fn ledger(id: u16, seed: u64) -> Ledger {
-    Ledger::new(
+fn ledger(id: u16, seed: u64) -> ConcurrentLedger {
+    ConcurrentLedger::with_shards(
         LedgerConfig::new(LedgerId(id)),
         TimestampAuthority::from_seed(seed),
+        1,
     )
 }
 
 #[test]
 fn tcp_server_survives_garbage_frames() {
-    let server = LedgerServer::start(ledger(1, 1), "127.0.0.1:0").unwrap();
+    let ledger = ConcurrentLedger::new(
+        LedgerConfig::new(LedgerId(1)),
+        TimestampAuthority::from_seed(1),
+    );
+    let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
     // Connection 1: sends garbage, gets errors, keeps working.
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     for payload in [&b"xx"[..], &[0xff; 100][..], &b""[..]] {
@@ -47,8 +53,8 @@ fn tcp_server_survives_garbage_frames() {
 
 #[test]
 fn truncated_filter_payload_rejected_cleanly() {
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
-    let mut l = ledger(1, 2);
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
+    let l = ledger(1, 2);
     // Claim + revoke so the filter is non-trivial.
     let mut cam = Camera::new(1, 128, 128);
     let shot = cam.capture(0);
@@ -63,15 +69,20 @@ fn truncated_filter_payload_rejected_cleanly() {
     // and without corrupting the proxy's filter set.
     for cut in [0usize, 4, 10, full.len() - 1] {
         let err = proxy
-            .filters
-            .apply_full(LedgerId(1), 1, full.slice(..cut))
+            .update_filters(|fs| fs.apply_full(LedgerId(1), 1, full.slice(..cut)))
             .unwrap_err();
         let _ = err.to_string();
-        assert_eq!(proxy.filters.ledger_count(), 0, "no partial installs");
+        assert_eq!(
+            proxy.filters_snapshot().ledger_count(),
+            0,
+            "no partial installs"
+        );
     }
     // The intact payload still installs.
-    proxy.filters.apply_full(LedgerId(1), 1, full).unwrap();
-    assert_eq!(proxy.filters.ledger_count(), 1);
+    proxy
+        .update_filters(|fs| fs.apply_full(LedgerId(1), 1, full))
+        .unwrap();
+    assert_eq!(proxy.filters_snapshot().ledger_count(), 1);
 }
 
 #[test]
@@ -159,7 +170,10 @@ fn chaos_seed() -> u64 {
 
 /// A ledger server with one revoked record and a published filter.
 fn revoked_ledger_server(seed: u64) -> (irs::net::LedgerServer, RecordId) {
-    let mut l = ledger(1, seed);
+    let l = ConcurrentLedger::new(
+        LedgerConfig::new(LedgerId(1)),
+        TimestampAuthority::from_seed(seed),
+    );
     let mut cam = Camera::new(seed, 96, 96);
     let shot = cam.capture(0);
     let Response::Claimed { id, .. } = l.handle(Request::Claim(shot.claim), TimeMs(0)) else {
@@ -168,7 +182,10 @@ fn revoked_ledger_server(seed: u64) -> (irs::net::LedgerServer, RecordId) {
     let rv = irs::protocol::RevokeRequest::create(&shot.keypair, id, true, 0);
     l.handle(Request::Revoke(rv), TimeMs(1));
     l.publish_filter();
-    (irs::net::LedgerServer::start(l, "127.0.0.1:0").unwrap(), id)
+    (
+        irs::net::LedgerServer::start_shared(Arc::new(l), "127.0.0.1:0").unwrap(),
+        id,
+    )
 }
 
 /// Mid-frame truncation during a filter fetch must leave the proxy on
@@ -241,7 +258,6 @@ fn truncated_filter_fetch_keeps_last_good_then_recovers() {
 fn server_restart_then_client_reconnects() {
     use irs::ledger::{DurabilityConfig, FsyncPolicy, LedgerConfig, StdDisk};
     use irs::net::NetError;
-    use std::sync::Arc;
 
     let dir = std::env::temp_dir().join(format!(
         "irs-restart-{}-{}",
@@ -355,7 +371,6 @@ fn breaker_opens_serves_stale_and_recovers() {
     use irs::net::service::stacks;
     use irs::net::{ProxyServer, RetryPolicy};
     use irs::proxy::{BreakerConfig, BreakerState, SharedProxy};
-    use std::sync::Arc;
     use std::time::Duration;
 
     let (server, id) = revoked_ledger_server(25);

@@ -3,20 +3,21 @@
 //! properties the paper reports.
 
 use irs::filters::BloomFilter;
-use irs::ledger::{Ledger, LedgerConfig};
+use irs::ledger::{ConcurrentLedger, LedgerConfig};
 use irs::net::{LedgerClient, LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, ProxyConfig};
+use irs::proxy::{ProxyConfig, SharedProxy};
+use std::sync::Arc;
 
 #[test]
 fn tcp_chain_blocks_revoked_and_reduces_load() {
-    let ledger = Ledger::new(
+    let ledger = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(5),
     );
-    let ledger_server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+    let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
 
     // Claim 30 photos, revoke 3.
     let mut owner = LedgerClient::connect(ledger_server.addr()).unwrap();
@@ -41,12 +42,12 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
     for id in &revoked {
         filter.insert(id.filter_key());
     }
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = Arc::new(SharedProxy::new(ProxyConfig::default()));
     proxy
-        .filters
-        .apply_full(LedgerId(1), 1, filter.to_bytes())
+        .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
         .unwrap();
-    let proxy_server = ProxyServer::start(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
+    let proxy_server =
+        ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
 
     // Browse all photos through the proxy.
     let mut browser = LedgerClient::connect(proxy_server.addr()).unwrap();
@@ -91,7 +92,7 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
 #[test]
 fn filter_fetch_over_wire() {
     // A proxy bootstraps its filter via the wire protocol.
-    let mut ledger = Ledger::new(
+    let ledger = ConcurrentLedger::new(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(6),
     );
@@ -107,7 +108,7 @@ fn filter_fetch_over_wire() {
     ledger.handle(Request::Revoke(rv), irs::protocol::time::TimeMs(1));
     ledger.publish_filter();
 
-    let server = LedgerServer::start(ledger, "127.0.0.1:0").unwrap();
+    let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
     let mut client = LedgerClient::connect(server.addr()).unwrap();
     let Response::FilterFull { version, data } = client
         .call(&Request::GetFilter { have_version: 0 })
@@ -115,10 +116,9 @@ fn filter_fetch_over_wire() {
     else {
         panic!("expected full filter");
     };
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
     proxy
-        .filters
-        .apply_full(LedgerId(1), version, data)
+        .update_filters(|fs| fs.apply_full(LedgerId(1), version, data))
         .unwrap();
     // The revoked id hits; a fresh id misses.
     use irs::proxy::LookupOutcome;

@@ -1,23 +1,23 @@
 //! The bootstrap phase as a *discrete-event* simulation: browser check
 //! events flow through link delays to the proxy, filter misses flow on to
 //! the ledger, and responses flow back — all on the `irs-simnet` event
-//! loop with the real `IrsProxy` and `Ledger` instances making every
+//! loop with the real `SharedProxy` and `ConcurrentLedger` instances making every
 //! decision. Validates that the sans-io components compose under
 //! event-driven scheduling exactly as they do under the analytic loops.
 
-use irs::ledger::{Ledger, LedgerConfig};
+use irs::ledger::{ConcurrentLedger, LedgerConfig};
 use irs::protocol::ids::LedgerId;
 use irs::protocol::time::TimeMs;
 use irs::protocol::wire::{Request, Response};
 use irs::protocol::{Camera, RevocationStatus, RevokeRequest, TimestampAuthority};
-use irs::proxy::{IrsProxy, LookupOutcome, ProxyConfig};
+use irs::proxy::{LookupOutcome, ProxyConfig, SharedProxy};
 use irs::simnet::{Histogram, LatencyModel, Link, Sim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 struct World {
-    ledger: Ledger,
-    proxy: IrsProxy,
+    ledger: ConcurrentLedger,
+    proxy: SharedProxy,
     rng: StdRng,
     browser_proxy: Link,
     proxy_ledger: Link,
@@ -27,9 +27,10 @@ struct World {
 }
 
 fn build_world() -> (World, Vec<irs::protocol::ids::RecordId>) {
-    let mut ledger = Ledger::new(
+    let ledger = ConcurrentLedger::with_shards(
         LedgerConfig::new(LedgerId(1)),
         TimestampAuthority::from_seed(77),
+        1,
     );
     let mut cam = Camera::new(77, 96, 96);
     let mut ids = Vec::new();
@@ -47,10 +48,9 @@ fn build_world() -> (World, Vec<irs::protocol::ids::RecordId>) {
     }
     ledger.publish_filter();
     let filter_bytes = ledger.published_filter().unwrap().to_bytes();
-    let mut proxy = IrsProxy::new(ProxyConfig::default());
+    let proxy = SharedProxy::with_shards(ProxyConfig::default(), 1);
     proxy
-        .filters
-        .apply_full(LedgerId(1), 1, filter_bytes)
+        .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter_bytes))
         .unwrap();
     (
         World {
@@ -157,7 +157,7 @@ fn event_driven_bootstrap_browse() {
     assert!(s.p50 <= 40, "p50 {} should be a proxy round trip", s.p50);
     assert!(s.max >= 50, "some checks must have reached the ledger");
 
-    let stats = world.proxy.stats;
+    let stats = world.proxy.stats();
     assert_eq!(stats.lookups, 300);
     assert!(
         stats.ledger_queries < 60,
@@ -187,10 +187,13 @@ fn event_driven_revocation_propagates_within_cache_ttl() {
     // A photo validated (and cached) as NotRevoked is revoked mid-session;
     // after the proxy cache TTL the event-driven path must start blocking.
     let (mut world, ids) = build_world();
-    world.proxy = IrsProxy::new(ProxyConfig {
-        cache_capacity: 1024,
-        cache_ttl_ms: 5_000,
-    });
+    world.proxy = SharedProxy::with_shards(
+        ProxyConfig {
+            cache_capacity: 1024,
+            cache_ttl_ms: 5_000,
+        },
+        1,
+    );
     // Fresh proxy has no filter → every check goes to the ledger (worst
     // case for staleness, best case for this test's clarity).
     let victim = ids[1]; // not initially revoked
