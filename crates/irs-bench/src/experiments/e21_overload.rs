@@ -48,7 +48,7 @@ use irs_net::proxy_server::ProxyServer;
 use irs_net::refresh::refresh_shared_filter;
 use irs_net::resilient::RetryPolicy;
 use irs_net::service::{stacks, CallCtx, GovernorPolicy, Service, ShedPolicy, TcpTransport};
-use irs_net::{LedgerClient, LedgerServer, NetError};
+use irs_net::{FrameCodec, LedgerClient, LedgerServer, NetError};
 use irs_proxy::{ProxyConfig, SharedProxy};
 use irs_workload::openloop::{
     BotProfile, DiurnalCurve, FlashCrowd, OpenLoopConfig, RevocationStorm, ScheduledRequest,
@@ -76,6 +76,9 @@ const CLIENTS: u32 = 24;
 /// Bot connections, each hammering the hot photo at [`BOT_RATE_HZ`].
 const BOTS: u32 = 4;
 const BOT_RATE_HZ: f64 = 1_000.0;
+
+/// The load clients' blocking framing (requests out, answers in).
+const WIRE: FrameCodec = FrameCodec::new(FrameCodec::MAX_FRAME);
 
 /// The three defense configurations under comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,7 +211,9 @@ fn drive_connection(
                     }
                     std::thread::sleep(target - now);
                 }
-                if irs_net::framing::write_frame(&mut write_half, &payloads[rank as usize]).is_err()
+                if WIRE
+                    .write(&mut write_half, &payloads[rank as usize])
+                    .is_err()
                 {
                     break;
                 }
@@ -221,7 +226,7 @@ fn drive_connection(
         let mut out: Vec<Answered> = Vec::with_capacity(slice.len());
         for req in &slice {
             let scheduled = start + Duration::from_millis(req.at_ms);
-            match irs_net::framing::read_frame(&mut reader) {
+            match WIRE.read(&mut reader) {
                 Ok(frame) => {
                     let latency = Instant::now().saturating_duration_since(scheduled);
                     let verdict = match Response::from_bytes(frame) {

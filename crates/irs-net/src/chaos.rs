@@ -17,7 +17,7 @@
 //! flag makes the interposer drop every connection instantly (a fast,
 //! total partition — the scenario circuit breakers exist for).
 
-use crate::framing::{read_frame_capped, write_frame, MAX_FRAME, MAX_REQUEST_FRAME};
+use crate::codec::FrameCodec;
 use crate::server::ServerHandle;
 use crate::NetError;
 use std::net::{SocketAddr, TcpStream};
@@ -161,11 +161,12 @@ impl ChaosProxy {
             // Short client-side read timeout so the relay loop observes
             // `stop` while the client is idle.
             let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+            let requests = FrameCodec::new(FrameCodec::MAX_REQUEST_FRAME);
             loop {
                 if stop.load(std::sync::atomic::Ordering::SeqCst) {
                     return;
                 }
-                let request = match read_frame_capped(&mut stream, MAX_REQUEST_FRAME) {
+                let request = match requests.read(&mut stream) {
                     Ok(f) => f,
                     Err(NetError::Io(e))
                         if e.kind() == std::io::ErrorKind::WouldBlock
@@ -313,6 +314,9 @@ fn relay_exchange(
     }
 }
 
+/// Reads upstream answers (filter-sized) and writes every relayed frame.
+const RELAY: FrameCodec = FrameCodec::new(FrameCodec::MAX_FRAME);
+
 fn forward_clean(client: &mut TcpStream, up: &mut TcpStream, request: &[u8]) -> bool {
     let Some(response) = fetch_upstream(up, request) else {
         return false;
@@ -321,12 +325,12 @@ fn forward_clean(client: &mut TcpStream, up: &mut TcpStream, request: &[u8]) -> 
 }
 
 fn fetch_upstream(up: &mut TcpStream, request: &[u8]) -> Option<bytes::Bytes> {
-    write_frame(up, request).ok()?;
-    read_frame_capped(up, MAX_FRAME).ok()
+    RELAY.write(up, request).ok()?;
+    RELAY.read(up).ok()
 }
 
 fn write_framed(client: &mut TcpStream, payload: &[u8]) -> bool {
-    write_frame(client, payload).is_ok()
+    RELAY.write(client, payload).is_ok()
 }
 
 /// SplitMix64 — the same mixer the vendored `rand` uses for seed

@@ -1,6 +1,6 @@
 //! Blocking request/response clients.
 
-use crate::framing::{read_frame, write_frame};
+use crate::codec::FrameCodec;
 use crate::NetError;
 use irs_core::wire::{Request, Response, Wire};
 use std::net::{SocketAddr, TcpStream};
@@ -15,7 +15,8 @@ use std::time::Duration;
 /// After [`call`](LedgerClient::call) returns [`NetError::ConnectionLost`]
 /// the stream is poisoned (a request may have been half-written, or a
 /// response half-read, so the framing is out of sync); every further call
-/// fails the same way until the caller reconnects. [`crate::ResilientClient`]
+/// fails the same way until the caller reconnects. A
+/// `Retry(Failover(TcpTransport))` stack (see [`crate::resilient`])
 /// automates that recovery.
 pub struct LedgerClient {
     stream: Option<TcpStream>,
@@ -119,8 +120,9 @@ fn open_stream(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, NetErro
 }
 
 fn exchange(stream: &mut TcpStream, payload: &[u8]) -> Result<Response, NetError> {
-    write_frame(stream, payload)?;
-    let frame = read_frame(stream)?;
+    let codec = FrameCodec::new(FrameCodec::MAX_FRAME);
+    codec.write(stream, payload)?;
+    let frame = codec.read(stream)?;
     Ok(Response::from_bytes(frame)?)
 }
 

@@ -1,27 +1,33 @@
-//! The explicit framing codec for the event-loop network core.
+//! The one framing codec: u32-BE length-prefixed frames, spoken by the
+//! reactor and by every blocking peer.
 //!
-//! [`framing`](crate::framing) speaks the wire format over *blocking*
-//! streams: `read_frame` parks the thread until a whole frame arrives,
-//! which is exactly what a readiness-polled reactor must never do. This
-//! module is the non-blocking half of the same format — an explicit
-//! encoder/decoder over a reusable byte buffer, in the shape of the
-//! ripple `MessageCodec` / linera `Codec` exemplars (SNIPPETS.md §2–3):
+//! Each frame is a u32 big-endian payload length followed by the
+//! payload. A declared-length cap rejects absurd lengths *from the
+//! prefix alone*, before any payload accumulates, so a corrupt or
+//! hostile peer cannot stage a huge allocation. Two halves share that
+//! one length/cap check:
 //!
-//! * [`BytesBuf`] — a growable buffer with a consume cursor. Reads
-//!   append at the tail, the decoder consumes from the head, and the
-//!   buffer compacts itself so steady-state traffic never reallocates;
-//! * [`FrameCodec`] — u32-BE length-prefixed frames (byte-identical to
-//!   [`framing`](crate::framing), so blocking and reactor peers
-//!   interoperate), tolerant of arbitrary split points: `decode` returns
-//!   `Ok(None)` until a whole frame is buffered, and `encode` only ever
-//!   appends — a partially flushed frame just stays in the buffer.
+//! * **Non-blocking** — [`FrameCodec::encode`] / [`FrameCodec::decode`]
+//!   over a reusable [`BytesBuf`], in the shape of the ripple
+//!   `MessageCodec` / linera `Codec` exemplars (SNIPPETS.md §2–3). They
+//!   tolerate arbitrary split points: `decode` returns `Ok(None)` until
+//!   a whole frame is buffered, and `encode` only ever appends — a
+//!   partially flushed frame just stays in the buffer. This is what the
+//!   readiness-polled reactor speaks, since it must never park a thread.
+//! * **Blocking** — [`FrameCodec::write`] / [`FrameCodec::read`] over
+//!   any `Write` / `Read` (the mux reader thread, the thread-per-
+//!   connection baseline, [`LedgerClient`](crate::LedgerClient), the
+//!   chaos proxy): `read` parks until a whole frame arrives and reports
+//!   a clean EOF at a frame boundary as [`NetError::Closed`].
 //!
-//! The cap is enforced *from the length prefix alone*, before any
-//! payload accumulates, so a hostile peer cannot stage a huge
-//! allocation by declaring an absurd length.
+//! [`BytesBuf`] is a growable buffer with a consume cursor. Reads
+//! append at the tail, the decoder consumes from the head, and the
+//! buffer compacts itself so steady-state traffic never reallocates.
 
 use crate::NetError;
 use bytes::Bytes;
+use irs_core::wire::{Response, Wire, WireError};
+use std::io::{Read, Write};
 
 /// A reusable byte buffer: append at the tail, consume from the head.
 ///
@@ -118,23 +124,36 @@ impl std::fmt::Debug for BytesBuf {
     }
 }
 
-/// u32-BE length prefix, 4 bytes.
-pub const FRAME_HEADER: usize = 4;
-
 /// Length-prefixed frame encoder/decoder with a declared-length cap.
 ///
 /// Stateless beyond the cap: all buffering lives in the caller's
-/// [`BytesBuf`]s, so one codec value serves every connection.
+/// [`BytesBuf`]s or streams, so one codec value serves every connection.
 #[derive(Clone, Copy, Debug)]
 pub struct FrameCodec {
     cap: u32,
 }
 
 impl FrameCodec {
+    /// u32-BE length prefix, 4 bytes.
+    pub const HEADER: usize = 4;
+
+    /// Largest accepted frame on the *download* direction (client
+    /// reading a server's reply): filter snapshots dominate, so allow
+    /// 512 MiB.
+    pub const MAX_FRAME: u32 = 512 << 20;
+
+    /// Largest accepted frame on the *upload* direction (server reading
+    /// a client's request). Requests are tiny — the largest legitimate
+    /// one is a `Batch` of 100 000 record ids (~1.4 MiB); nothing a
+    /// client sends approaches a filter payload. Servers read with this
+    /// cap so a malicious client cannot make every connection allocate
+    /// [`FrameCodec::MAX_FRAME`].
+    pub const MAX_REQUEST_FRAME: u32 = 2 << 20;
+
     /// A codec rejecting frames whose declared length exceeds `cap`
-    /// (servers pass [`crate::framing::MAX_REQUEST_FRAME`], clients
-    /// [`crate::framing::MAX_FRAME`]).
-    pub fn new(cap: u32) -> FrameCodec {
+    /// (servers pass [`FrameCodec::MAX_REQUEST_FRAME`], clients
+    /// [`FrameCodec::MAX_FRAME`]).
+    pub const fn new(cap: u32) -> FrameCodec {
         FrameCodec { cap }
     }
 
@@ -143,15 +162,30 @@ impl FrameCodec {
         self.cap
     }
 
-    /// Append one frame (header + payload) to `out`. Fails without
-    /// touching `out` if `payload` exceeds the cap — an oversized
-    /// response is the handler's bug and must not desynchronize the
-    /// stream.
-    pub fn encode(&self, payload: &[u8], out: &mut BytesBuf) -> Result<(), NetError> {
-        if payload.len() as u64 > self.cap as u64 {
+    /// The length prefix for a `len`-byte payload, refused over the cap
+    /// — an oversized payload is the sender's bug and must not
+    /// desynchronize the stream.
+    fn header(&self, len: usize) -> Result<[u8; 4], NetError> {
+        if len as u64 > self.cap as u64 {
             return Err(NetError::Frame("payload exceeds frame cap"));
         }
-        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        Ok((len as u32).to_be_bytes())
+    }
+
+    /// The payload length a received prefix declares, refused over the
+    /// cap before any payload is buffered.
+    fn declared(&self, header: [u8; 4]) -> Result<usize, NetError> {
+        let len = u32::from_be_bytes(header);
+        if len > self.cap {
+            return Err(NetError::Frame("declared length exceeds frame cap"));
+        }
+        Ok(len as usize)
+    }
+
+    /// Append one frame (header + payload) to `out`. Fails without
+    /// touching `out` if `payload` exceeds the cap.
+    pub fn encode(&self, payload: &[u8], out: &mut BytesBuf) -> Result<(), NetError> {
+        out.extend_from_slice(&self.header(payload.len())?);
         out.extend_from_slice(payload);
         Ok(())
     }
@@ -164,26 +198,91 @@ impl FrameCodec {
     /// length over the cap) and the connection must be dropped.
     pub fn decode(&self, buf: &mut BytesBuf) -> Result<Option<Bytes>, NetError> {
         let head = buf.as_slice();
-        if head.len() < FRAME_HEADER {
+        if head.len() < Self::HEADER {
             return Ok(None);
         }
-        let len = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
-        if len > self.cap {
-            return Err(NetError::Frame("declared length exceeds frame cap"));
-        }
-        let total = FRAME_HEADER + len as usize;
-        if head.len() < total {
+        let len = self.declared([head[0], head[1], head[2], head[3]])?;
+        if head.len() < Self::HEADER + len {
             return Ok(None);
         }
-        buf.advance(FRAME_HEADER);
-        Ok(Some(buf.split_to(len as usize)))
+        buf.advance(Self::HEADER);
+        Ok(Some(buf.split_to(len)))
+    }
+
+    /// Write one frame to a blocking stream and flush it.
+    pub fn write<W: Write>(&self, writer: &mut W, payload: &[u8]) -> Result<(), NetError> {
+        writer.write_all(&self.header(payload.len())?)?;
+        writer.write_all(payload)?;
+        writer.flush()?;
+        Ok(())
+    }
+
+    /// Read one frame from a blocking stream: the prefix, then the
+    /// payload straight into its owned buffer. A clean EOF at a frame
+    /// boundary is [`NetError::Closed`]; EOF mid-length or mid-frame is
+    /// a [`NetError::Frame`] error.
+    pub fn read<R: Read>(&self, reader: &mut R) -> Result<Bytes, NetError> {
+        let mut header = [0u8; 4];
+        let mut filled = 0;
+        while filled < header.len() {
+            match reader.read(&mut header[filled..]) {
+                Ok(0) if filled == 0 => return Err(NetError::Closed),
+                Ok(0) => return Err(NetError::Frame("stream ended mid-length")),
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+        let mut payload = vec![0u8; self.declared(header)?];
+        reader.read_exact(&mut payload).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                NetError::Frame("stream ended mid-frame")
+            } else {
+                NetError::Io(e)
+            }
+        })?;
+        Ok(Bytes::from(payload))
+    }
+
+    /// Encode `response` to payload bytes. A response the wire format
+    /// cannot represent (e.g. an error message longer than its u16
+    /// length prefix) is downgraded to a short error reply instead of
+    /// tearing down the connection — the peer always gets *an* answer.
+    pub fn response_bytes(response: &Response) -> Bytes {
+        match response.to_bytes() {
+            Ok(b) => b,
+            Err(e) => Response::Error {
+                code: irs_ledger::codes::BAD_REQUEST,
+                message: format!("unencodable response: {e}"),
+            }
+            .to_bytes()
+            .expect("short error response always encodes"),
+        }
+    }
+}
+
+/// The answer to a request frame that does not decode — one rule for
+/// every server. A well-framed request whose tag this build has never
+/// heard of is a *newer peer*, not a protocol violation: it gets a
+/// structured `Unsupported { tag }` so the client can degrade
+/// per-operation instead of treating the whole connection as poisoned.
+/// Anything else undecodable is a `BAD_REQUEST` error.
+pub fn refusal(error: WireError) -> Response {
+    match error {
+        WireError::BadTag(tag) => Response::Unsupported { tag },
+        e => Response::Error {
+            code: irs_ledger::codes::BAD_REQUEST,
+            message: format!("bad request: {e}"),
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::MAX_REQUEST_FRAME;
+    use std::io::Cursor;
+
+    const MAX_REQUEST_FRAME: u32 = FrameCodec::MAX_REQUEST_FRAME;
 
     #[test]
     fn bytes_buf_append_consume_compact() {
@@ -250,26 +349,76 @@ mod tests {
         assert!(codec.encode(&[0u8; 9], &mut out).is_err());
         assert!(out.is_empty(), "failed encode must not emit partial bytes");
         codec.encode(&[0u8; 8], &mut out).unwrap();
-        assert_eq!(out.len(), FRAME_HEADER + 8);
+        assert_eq!(out.len(), FrameCodec::HEADER + 8);
     }
 
     #[test]
     fn interoperates_with_blocking_framing() {
-        // The reactor codec and the blocking framing module speak the
-        // same bytes — a blocking client can talk to a reactor server.
-        let mut blocking = Vec::new();
-        crate::framing::write_frame(&mut blocking, b"cross").unwrap();
+        // Both halves speak the same bytes — a blocking client can talk
+        // to a reactor server and back.
         let codec = FrameCodec::new(MAX_REQUEST_FRAME);
+        let mut blocking = Vec::new();
+        codec.write(&mut blocking, b"cross").unwrap();
         let mut rx = BytesBuf::new();
         rx.extend_from_slice(&blocking);
         assert_eq!(codec.decode(&mut rx).unwrap().unwrap().as_ref(), b"cross");
 
         let mut out = BytesBuf::new();
         codec.encode(b"back", &mut out).unwrap();
-        let mut cursor = std::io::Cursor::new(out.as_slice().to_vec());
-        assert_eq!(
-            crate::framing::read_frame(&mut cursor).unwrap().as_ref(),
-            b"back"
-        );
+        let mut cursor = Cursor::new(out.as_slice().to_vec());
+        assert_eq!(codec.read(&mut cursor).unwrap().as_ref(), b"back");
+    }
+
+    #[test]
+    fn blocking_roundtrip_ends_closed_at_a_frame_boundary() {
+        let codec = FrameCodec::new(FrameCodec::MAX_FRAME);
+        let mut buf = Vec::new();
+        codec.write(&mut buf, b"hello").unwrap();
+        codec.write(&mut buf, b"").unwrap();
+        codec.write(&mut buf, &[0xffu8; 1000]).unwrap();
+        let mut cursor = Cursor::new(buf);
+        assert_eq!(codec.read(&mut cursor).unwrap().as_ref(), b"hello");
+        assert!(codec.read(&mut cursor).unwrap().is_empty());
+        assert_eq!(codec.read(&mut cursor).unwrap().len(), 1000);
+        assert!(matches!(codec.read(&mut cursor), Err(NetError::Closed)));
+    }
+
+    #[test]
+    fn blocking_read_detects_truncation() {
+        let codec = FrameCodec::new(FrameCodec::MAX_FRAME);
+        let mut cursor = Cursor::new(vec![0u8, 0]);
+        assert!(matches!(
+            codec.read(&mut cursor),
+            Err(NetError::Frame("stream ended mid-length"))
+        ));
+        let mut buf = 10u32.to_be_bytes().to_vec();
+        buf.extend_from_slice(b"only5");
+        assert!(matches!(
+            codec.read(&mut Cursor::new(buf)),
+            Err(NetError::Frame("stream ended mid-frame"))
+        ));
+    }
+
+    #[test]
+    fn request_cap_rejects_what_the_payload_cap_accepts() {
+        // A declared length between the two caps: fine for a client
+        // reading a filter, rejected by a server reading a request —
+        // before any payload allocation happens.
+        let header = (MAX_REQUEST_FRAME + 1).to_be_bytes().to_vec();
+        assert!(matches!(
+            FrameCodec::new(MAX_REQUEST_FRAME).read(&mut Cursor::new(header.clone())),
+            Err(NetError::Frame("declared length exceeds frame cap"))
+        ));
+        // The same header passes the large cap (then fails on the missing
+        // payload, which is the expected path for a truncated stream).
+        assert!(matches!(
+            FrameCodec::new(FrameCodec::MAX_FRAME).read(&mut Cursor::new(header)),
+            Err(NetError::Frame("stream ended mid-frame"))
+        ));
+        // Request-sized frames fit the request cap.
+        let codec = FrameCodec::new(MAX_REQUEST_FRAME);
+        let mut buf = Vec::new();
+        codec.write(&mut buf, &[0u8; 1024]).unwrap();
+        assert_eq!(codec.read(&mut Cursor::new(buf)).unwrap().len(), 1024);
     }
 }

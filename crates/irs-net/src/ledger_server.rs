@@ -14,7 +14,7 @@
 //! proceed in parallel (the E15 thread-scaling experiment measures the
 //! difference against a whole-ledger mutex).
 
-use crate::framing::{read_frame_capped, response_bytes, write_response, MAX_REQUEST_FRAME};
+use crate::codec::{refusal, FrameCodec};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
 use crate::server::ServerHandle;
 use crate::service::{
@@ -41,25 +41,14 @@ pub struct LedgerServer {
     engine: Engine,
 }
 
-/// The shared request path: decode, dispatch to the ledger, encode —
-/// identical under both engines.
-fn serve_frame(ledger: &ConcurrentLedger, frame: bytes::Bytes) -> Response {
-    match Request::from_bytes(frame) {
-        Ok(request) => {
-            let now = SystemClock.now();
-            ledger.handle(request, now)
-        }
-        // Forward compatibility: a well-framed request whose tag this
-        // build has never heard of is a *newer peer*, not a protocol
-        // violation. Answer with a structured `Unsupported` so the
-        // client can degrade per-operation instead of treating the
-        // whole connection as poisoned.
-        Err(irs_core::wire::WireError::BadTag(tag)) => Response::Unsupported { tag },
-        Err(e) => Response::Error {
-            code: irs_ledger::codes::BAD_REQUEST,
-            message: format!("bad request: {e}"),
-        },
-    }
+/// The shared request path: decode (or refuse), dispatch to the
+/// ledger, encode — identical under both engines.
+fn serve_frame(ledger: &ConcurrentLedger, frame: bytes::Bytes) -> bytes::Bytes {
+    let response = match Request::from_bytes(frame) {
+        Ok(request) => ledger.handle(request, SystemClock.now()),
+        Err(e) => refusal(e),
+    };
+    FrameCodec::response_bytes(&response)
 }
 
 impl LedgerServer {
@@ -85,7 +74,8 @@ impl LedgerServer {
     /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral) on
     /// the reactor engine with default tuning. Callers keep their own
     /// `Arc` to drive the same instance from outside the server
-    /// (publishes, appeals, stats).
+    /// (publishes, appeals, stats). Reactor gauges and histograms land
+    /// in the ledger's own registry, beside its counters.
     pub fn start_shared(
         ledger: Arc<ConcurrentLedger>,
         addr: &str,
@@ -94,7 +84,16 @@ impl LedgerServer {
             registry: Some(ledger.metrics().clone()),
             ..ReactorConfig::default()
         };
-        LedgerServer::start_reactor(ledger, addr, config)
+        let ledger_for_conns = ledger.clone();
+        let handle = Reactor::bind(
+            addr,
+            config,
+            Arc::new(move |frame, _conn| serve_frame(&ledger_for_conns, frame)),
+        )?;
+        Ok(LedgerServer {
+            ledger,
+            engine: Engine::Reactor(handle),
+        })
     }
 
     /// Start serving one **shard** of a sharded deployment: attaches
@@ -124,29 +123,6 @@ impl LedgerServer {
         LedgerServer::start_shared(ledger, addr)
     }
 
-    /// Start on the reactor engine with explicit [`ReactorConfig`]
-    /// tuning (worker count, frame cap, backpressure). The config's
-    /// `registry` is replaced by the ledger's own, so reactor gauges and
-    /// histograms land in the same exposition as the ledger's counters.
-    pub fn start_reactor(
-        ledger: Arc<ConcurrentLedger>,
-        addr: &str,
-        mut config: ReactorConfig,
-    ) -> std::io::Result<LedgerServer> {
-        config.registry = Some(ledger.metrics().clone());
-        config.max_frame = MAX_REQUEST_FRAME;
-        let ledger_for_conns = ledger.clone();
-        let handle = Reactor::bind(
-            addr,
-            config,
-            Arc::new(move |frame, _conn| response_bytes(&serve_frame(&ledger_for_conns, frame))),
-        )?;
-        Ok(LedgerServer {
-            ledger,
-            engine: Engine::Reactor(handle),
-        })
-    }
-
     /// Start on the reactor engine with **priority admission control**
     /// in front of the ledger: every decoded request passes a
     /// per-connection token-bucket [`Governor`](crate::service::Governor)
@@ -166,7 +142,7 @@ impl LedgerServer {
         shed: ShedPolicy,
     ) -> std::io::Result<LedgerServer> {
         config.registry = Some(ledger.metrics().clone());
-        config.max_frame = MAX_REQUEST_FRAME;
+        config.max_frame = FrameCodec::MAX_REQUEST_FRAME;
         let registry = ledger.metrics().clone();
         let ledger_for_conns = ledger.clone();
         let admitted =
@@ -192,13 +168,9 @@ impl LedgerServer {
                             },
                         }
                     }
-                    Err(irs_core::wire::WireError::BadTag(tag)) => Response::Unsupported { tag },
-                    Err(e) => Response::Error {
-                        code: irs_ledger::codes::BAD_REQUEST,
-                        message: format!("bad request: {e}"),
-                    },
+                    Err(e) => refusal(e),
                 };
-                response_bytes(&response)
+                FrameCodec::response_bytes(&response)
             }),
         )?;
         Ok(LedgerServer {
@@ -215,6 +187,8 @@ impl LedgerServer {
         addr: &str,
     ) -> std::io::Result<LedgerServer> {
         let ledger_for_conns = ledger.clone();
+        let requests = FrameCodec::new(FrameCodec::MAX_REQUEST_FRAME);
+        let responses = FrameCodec::new(FrameCodec::MAX_FRAME);
         let handle = ServerHandle::spawn(addr, move |mut stream, stop| {
             // Bound reads so the connection thread notices shutdown.
             let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
@@ -224,7 +198,7 @@ impl LedgerServer {
                 }
                 // Requests are small; the tight cap stops a hostile peer
                 // from staging a filter-sized allocation at the server.
-                let frame = match read_frame_capped(&mut stream, MAX_REQUEST_FRAME) {
+                let frame = match requests.read(&mut stream) {
                     Ok(f) => f,
                     Err(crate::NetError::Io(e))
                         if e.kind() == std::io::ErrorKind::WouldBlock
@@ -235,7 +209,7 @@ impl LedgerServer {
                     Err(_) => return,
                 };
                 let response = serve_frame(&ledger_for_conns, frame);
-                if write_response(&mut stream, &response).is_err() {
+                if responses.write(&mut stream, &response).is_err() {
                     return;
                 }
             }
@@ -296,6 +270,8 @@ mod tests {
     use irs_crypto::{Digest, Keypair};
     use irs_ledger::LedgerConfig;
 
+    const WIRE: FrameCodec = FrameCodec::new(FrameCodec::MAX_FRAME);
+
     fn server() -> LedgerServer {
         let ledger = ConcurrentLedger::new(
             LedgerConfig::new(LedgerId(1)),
@@ -329,10 +305,9 @@ mod tests {
     #[test]
     fn malformed_request_gets_error_response() {
         let server = server();
-        let addr = server.addr();
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        crate::framing::write_frame(&mut stream, b"\xff\xffgarbage").unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        WIRE.write(&mut stream, b"\xff\xffgarbage").unwrap();
+        let frame = WIRE.read(&mut stream).unwrap();
         let Response::Error { code, .. } = Response::from_bytes(frame).unwrap() else {
             panic!("expected error response");
         };
@@ -341,25 +316,31 @@ mod tests {
     }
 
     /// A well-framed request carrying a tag this build doesn't know
-    /// (a newer peer) gets a structured `Unsupported` answer — and the
+    /// (a newer peer) gets a structured `Unsupported` answer — from the
+    /// ledger and from a proxy in front of it alike — and the
     /// connection survives to serve the next, known request.
     #[test]
     fn unknown_request_tag_answered_not_fatal() {
         let server = server();
-        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        // Protocol version 1, then a tag far beyond anything assigned.
-        crate::framing::write_frame(&mut stream, &[1u8, 0xee]).unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
-        let Response::Unsupported { tag } = Response::from_bytes(frame).unwrap() else {
-            panic!("expected Unsupported response");
-        };
-        assert_eq!(tag, 0xee);
-        // Same socket, known request: the decode failure must not have
-        // poisoned the connection.
-        let ping = irs_core::wire::Request::Ping.to_bytes().unwrap();
-        crate::framing::write_frame(&mut stream, &ping).unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
-        assert_eq!(Response::from_bytes(frame).unwrap(), Response::Pong);
+        let proxy = Arc::new(irs_proxy::SharedProxy::new(
+            irs_proxy::ProxyConfig::default(),
+        ));
+        let proxy = crate::ProxyServer::start_shared(proxy, "127.0.0.1:0", server.addr()).unwrap();
+        for addr in [server.addr(), proxy.addr()] {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            // Protocol version 1, then a tag far beyond anything assigned.
+            WIRE.write(&mut stream, &[1u8, 0xee]).unwrap();
+            let frame = WIRE.read(&mut stream).unwrap();
+            let response = Response::from_bytes(frame).unwrap();
+            assert_eq!(response, Response::Unsupported { tag: 0xee }, "from {addr}");
+            // Same socket, known request: the decode failure must not
+            // have poisoned the connection.
+            WIRE.write(&mut stream, &Request::Ping.to_bytes().unwrap())
+                .unwrap();
+            let frame = WIRE.read(&mut stream).unwrap();
+            assert_eq!(Response::from_bytes(frame).unwrap(), Response::Pong);
+        }
+        proxy.shutdown();
         server.shutdown();
     }
 

@@ -1,27 +1,26 @@
 //! The real-network prototype (§4.3: "we built a prototype ledger and
 //! browser extension that performed revocation checks").
 //!
-//! Two network engines share one wire format:
+//! Two network engines share one wire format and one [`codec`]:
 //!
-//! * The event-loop **reactor** ([`reactor`], [`codec`], [`mux`]) — the
-//!   production path. N worker threads run readiness loops over
-//!   non-blocking sockets; connection count is bounded by memory, not by
-//!   thread count, and clients multiplex pipelined requests over one
+//! * The event-loop **reactor** ([`reactor`], [`mux`]) — the production
+//!   path. N worker threads run readiness loops over non-blocking
+//!   sockets; connection count is bounded by memory, not by thread
+//!   count, and clients multiplex pipelined requests over one
 //!   connection. [`LedgerServer`] and [`ProxyServer`] run on it by
 //!   default. DESIGN.md §12 describes the architecture.
 //! * The blocking **thread-per-connection** engine ([`server`],
-//!   [`framing`], [`client`]) — the bootstrap prototype, kept as the
-//!   comparison baseline for experiment E19 and for one-shot tooling
-//!   where a parked thread is the simplest correct answer.
+//!   [`client`]) — the bootstrap prototype, kept as the comparison
+//!   baseline for experiment E19 and for one-shot tooling where a parked
+//!   thread is the simplest correct answer.
 //!
 //! Shutdown is explicit and joins every worker/connection thread
 //! (structured concurrency: no task outlives its component).
 //!
-//! * [`framing`] — u32-BE length-prefixed frames over a blocking TCP
-//!   stream, with a frame-size cap and clean EOF handling;
-//! * [`codec`] — the same frame format as an explicit encoder/decoder
-//!   over reusable buffers, tolerant of partial reads/writes (what the
-//!   reactor speaks);
+//! * [`codec`] — u32-BE length-prefixed frames with a size cap: an
+//!   encoder/decoder over reusable buffers, tolerant of partial
+//!   reads/writes (what the reactor speaks), plus a blocking read/write
+//!   pair with clean EOF handling;
 //! * [`reactor`] — the epoll-based event loop: registration, readiness
 //!   dispatch, per-connection state machines, bounded worker pool;
 //! * [`mux`] — the multiplexing client: pipelined requests with
@@ -32,17 +31,19 @@
 //!   behind the wire protocol;
 //! * [`proxy_server`] — a shared [`irs_proxy::SharedProxy`] that answers
 //!   locally when it can and forwards filter misses upstream;
-//! * [`client`] — blocking request/response clients with timeouts;
-//! * [`refresh`] — the proxy's hourly filter pull (full or delta) over
-//!   the wire;
+//! * [`client`] — a blocking request/response client with timeouts;
+//! * [`chaos`] — a seeded fault-injecting TCP relay;
+//! * [`refresh`] — the proxy's hourly filter pull (tiered-first, legacy
+//!   fallback) over the wire;
+//! * [`resilient`] — the retry policy shared by every recovering path;
 //! * [`service`] — the tower-style middleware stack (retry, failover,
-//!   breaker, stale-serve, cache, batch, chaos, stats as composable
-//!   layers) every upstream path is built from.
+//!   routing, breaker, stale-serve, cache, single-flight, shedding,
+//!   admission, chaos as composable layers) every upstream path is
+//!   built from.
 
 pub mod chaos;
 pub mod client;
 pub mod codec;
-pub mod framing;
 pub mod ledger_server;
 pub mod mux;
 pub mod proxy_server;
@@ -62,7 +63,7 @@ pub use reactor::{Reactor, ReactorConfig, ReactorHandle};
 pub use refresh::{
     refresh_shared_filter, refresh_shared_filter_tiered, RefreshOutcome, RefreshWorker,
 };
-pub use resilient::{ResilientClient, RetryPolicy};
+pub use resilient::RetryPolicy;
 pub use server::ServerHandle;
 pub use service::{BoxService, CallCtx, Layer, Service, ServiceExt};
 
@@ -84,7 +85,7 @@ pub enum NetError {
     ///
     /// [`reconnect`]: client::LedgerClient::reconnect
     ConnectionLost,
-    /// A [`ResilientClient`] ran out of retry budget: every attempt
+    /// A [`service::RetryLayer`] ran out of retry budget: every attempt
     /// failed and/or the per-call deadline elapsed.
     Exhausted {
         /// Attempts made (including the first).
@@ -94,7 +95,7 @@ pub enum NetError {
     /// circuit breaker is open.
     BreakerOpen,
     /// The call's wall-clock deadline elapsed before work could start
-    /// (see [`service::DeadlineLayer`] and [`service::CallCtx`]).
+    /// (see [`service::RetryLayer`] and [`service::CallCtx::with_deadline`]).
     DeadlineExceeded,
     /// The server (or a local [`service::ShedLayer`] / governor) refused
     /// the call under overload. Distinct from [`NetError::ConnectionLost`]
@@ -116,7 +117,7 @@ pub enum NetError {
 
 impl NetError {
     /// A best-effort structural copy, for fanning one upstream error out
-    /// to many waiters (single-flight followers, batch followers).
+    /// to many waiters (single-flight followers).
     /// `NetError` is not `Clone` because `std::io::Error` is not; the
     /// replica of an [`NetError::Io`] preserves the kind and message.
     pub fn replicate(&self) -> NetError {

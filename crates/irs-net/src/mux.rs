@@ -20,7 +20,6 @@
 //! late response to keep the FIFO aligned, then discards it.
 
 use crate::codec::{BytesBuf, FrameCodec};
-use crate::framing::MAX_FRAME;
 use crate::NetError;
 use irs_core::wire::{Request, Response, Wire};
 use parking_lot::Mutex;
@@ -187,7 +186,7 @@ impl MuxClient {
             let mut writer = self.writer.lock();
             let (stream, scratch) = &mut *writer;
             scratch.clear();
-            FrameCodec::new(MAX_FRAME).encode(&payload, scratch)?;
+            FrameCodec::new(FrameCodec::MAX_FRAME).encode(&payload, scratch)?;
             self.shared.pending.lock().push_back(slot.clone());
             if let Err(e) = stream.write_all(scratch.as_slice()) {
                 drop(writer);
@@ -256,11 +255,12 @@ impl NetError {
 /// The reader thread: pull response frames off the wire, deliver each
 /// to the oldest in-flight slot.
 fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
+    let codec = FrameCodec::new(FrameCodec::MAX_FRAME);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match crate::framing::read_frame(&mut stream) {
+        match codec.read(&mut stream) {
             Ok(frame) => {
                 let slot = shared.pending.lock().pop_front();
                 match slot {
@@ -327,7 +327,7 @@ mod tests {
                         message: format!("seq {n}"),
                     },
                 };
-                crate::framing::response_bytes(&response)
+                FrameCodec::response_bytes(&response)
             }),
         )
         .unwrap()
@@ -381,7 +381,7 @@ mod tests {
             },
             Arc::new(|_frame: bytes::Bytes, _conn: u64| {
                 std::thread::sleep(Duration::from_millis(400));
-                crate::framing::response_bytes(&Response::Pong)
+                FrameCodec::response_bytes(&Response::Pong)
             }),
         )
         .unwrap();
@@ -410,7 +410,7 @@ mod tests {
             },
             Arc::new(|_frame: bytes::Bytes, _conn: u64| {
                 std::thread::sleep(Duration::from_millis(200));
-                crate::framing::response_bytes(&Response::Pong)
+                FrameCodec::response_bytes(&Response::Pong)
             }),
         )
         .unwrap();

@@ -21,7 +21,7 @@
 //! rungs live in [`crate::service::stacks`] and the ordering rules in
 //! DESIGN.md §10.
 
-use crate::framing::{response_bytes, MAX_REQUEST_FRAME};
+use crate::codec::{refusal, FrameCodec};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
 use crate::service::{stacks, BoxService, CallCtx, Service};
 use crate::NetError;
@@ -84,7 +84,7 @@ impl ProxyServer {
         let shared = proxy.clone();
         let config = ReactorConfig {
             workers: workers.max(1),
-            max_frame: MAX_REQUEST_FRAME,
+            max_frame: FrameCodec::MAX_REQUEST_FRAME,
             registry: Some(proxy.metrics().clone()),
             ..ReactorConfig::default()
         };
@@ -123,13 +123,10 @@ impl ProxyServer {
                         code: irs_ledger::codes::BAD_REQUEST,
                         message: "proxy only serves Query/Ping/Metrics".to_string(),
                     },
-                    Err(e) => Response::Error {
-                        code: irs_ledger::codes::BAD_REQUEST,
-                        message: format!("bad request: {e}"),
-                    },
+                    Err(e) => refusal(e),
                 };
                 request_us.record_since(start);
-                response_bytes(&response)
+                FrameCodec::response_bytes(&response)
             }),
         )?;
         Ok(ProxyServer { proxy, handle })

@@ -513,7 +513,7 @@ impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             workers: default_workers(),
-            max_frame: crate::framing::MAX_REQUEST_FRAME,
+            max_frame: FrameCodec::MAX_REQUEST_FRAME,
             high_water: 64 << 20,
             registry: None,
         }
@@ -972,6 +972,8 @@ impl Drop for ReactorHandle {
 mod tests {
     use super::*;
     use crate::server::poll_until;
+
+    const WIRE: FrameCodec = FrameCodec::new(FrameCodec::MAX_FRAME);
     use std::time::Duration;
 
     fn echo_reactor(workers: usize) -> ReactorHandle {
@@ -991,8 +993,8 @@ mod tests {
     fn frame_echo_roundtrip() {
         let r = echo_reactor(2);
         let mut stream = TcpStream::connect(r.addr()).unwrap();
-        crate::framing::write_frame(&mut stream, b"hello reactor").unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
+        WIRE.write(&mut stream, b"hello reactor").unwrap();
+        let frame = WIRE.read(&mut stream).unwrap();
         assert_eq!(frame.as_ref(), b"hello reactor");
         drop(stream);
         r.shutdown();
@@ -1005,10 +1007,10 @@ mod tests {
         // Write 50 frames back-to-back before reading anything: the
         // reactor must answer all of them, in order.
         for i in 0..50u32 {
-            crate::framing::write_frame(&mut stream, &i.to_be_bytes()).unwrap();
+            WIRE.write(&mut stream, &i.to_be_bytes()).unwrap();
         }
         for i in 0..50u32 {
-            let frame = crate::framing::read_frame(&mut stream).unwrap();
+            let frame = WIRE.read(&mut stream).unwrap();
             assert_eq!(frame.as_ref(), i.to_be_bytes());
         }
         r.shutdown();
@@ -1019,7 +1021,7 @@ mod tests {
         let r = echo_reactor(1);
         let mut stream = TcpStream::connect(r.addr()).unwrap();
         let mut wire = Vec::new();
-        crate::framing::write_frame(&mut wire, b"split me").unwrap();
+        WIRE.write(&mut wire, b"split me").unwrap();
         // Dribble the frame one byte at a time with pauses: the decoder
         // must wait for completion, then answer exactly once.
         for &b in &wire {
@@ -1027,7 +1029,7 @@ mod tests {
             stream.flush().unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
+        let frame = WIRE.read(&mut stream).unwrap();
         assert_eq!(frame.as_ref(), b"split me");
         r.shutdown();
     }
@@ -1037,7 +1039,7 @@ mod tests {
         let r = echo_reactor(1);
         let mut stream = TcpStream::connect(r.addr()).unwrap();
         stream
-            .write_all(&(crate::framing::MAX_REQUEST_FRAME + 1).to_be_bytes())
+            .write_all(&(FrameCodec::MAX_REQUEST_FRAME + 1).to_be_bytes())
             .unwrap();
         // The server must close; the read eventually sees EOF.
         stream
@@ -1065,10 +1067,10 @@ mod tests {
         );
         // Every connection stays responsive.
         for (i, s) in streams.iter_mut().enumerate() {
-            crate::framing::write_frame(s, &(i as u32).to_be_bytes()).unwrap();
+            WIRE.write(s, &(i as u32).to_be_bytes()).unwrap();
         }
         for (i, s) in streams.iter_mut().enumerate() {
-            let frame = crate::framing::read_frame(s).unwrap();
+            let frame = WIRE.read(s).unwrap();
             assert_eq!(frame.as_ref(), (i as u32).to_be_bytes());
         }
         drop(streams);
@@ -1090,8 +1092,8 @@ mod tests {
                     let mut s = TcpStream::connect(addr).unwrap();
                     for round in 0..20u32 {
                         let msg = (i * 1000 + round).to_be_bytes();
-                        crate::framing::write_frame(&mut s, &msg).unwrap();
-                        let frame = crate::framing::read_frame(&mut s).unwrap();
+                        WIRE.write(&mut s, &msg).unwrap();
+                        let frame = WIRE.read(&mut s).unwrap();
                         assert_eq!(frame.as_ref(), msg);
                     }
                 })
@@ -1104,7 +1106,7 @@ mod tests {
     }
 
     #[test]
-    fn large_response_drains_via_write_interest() {
+    fn large_response_drains_on_write_interest() {
         // Handler inflates a tiny request into ~8 MiB, far beyond any
         // socket buffer: the response can only complete through
         // EPOLLOUT-driven incremental flushes.
@@ -1120,8 +1122,8 @@ mod tests {
         )
         .unwrap();
         let mut stream = TcpStream::connect(r.addr()).unwrap();
-        crate::framing::write_frame(&mut stream, &[0x5A]).unwrap();
-        let frame = crate::framing::read_frame(&mut stream).unwrap();
+        WIRE.write(&mut stream, &[0x5A]).unwrap();
+        let frame = WIRE.read(&mut stream).unwrap();
         assert_eq!(frame.len(), 8 << 20);
         assert!(frame.iter().all(|&b| b == 0x5A));
         r.shutdown();
@@ -1162,7 +1164,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let payload = vec![0xA5u8; PAYLOAD];
             for _ in 0..N {
-                crate::framing::write_frame(&mut write_half, &payload).unwrap();
+                WIRE.write(&mut write_half, &payload).unwrap();
             }
         });
 
@@ -1182,7 +1184,7 @@ mod tests {
         let mut stream = stream;
         let mut max_seen = stalled;
         for i in 0..N {
-            let frame = crate::framing::read_frame(&mut stream).unwrap();
+            let frame = WIRE.read(&mut stream).unwrap();
             assert_eq!(frame.len(), PAYLOAD, "response {i} truncated");
             assert!(frame.iter().all(|&b| b == 0xA5), "response {i} corrupted");
             max_seen = max_seen.max(gauge("irs_net_write_buffer_bytes"));
@@ -1224,8 +1226,8 @@ mod tests {
         };
         let r = Reactor::bind("127.0.0.1:0", config, Arc::new(|f: Bytes, _conn: u64| f)).unwrap();
         let mut s = TcpStream::connect(r.addr()).unwrap();
-        crate::framing::write_frame(&mut s, b"x").unwrap();
-        let _ = crate::framing::read_frame(&mut s).unwrap();
+        WIRE.write(&mut s, b"x").unwrap();
+        let _ = WIRE.read(&mut s).unwrap();
         let parsed = irs_obs::parse_exposition(&registry.render());
         assert_eq!(parsed["irs_net_reactor_workers"], 2.0);
         assert_eq!(parsed["irs_net_live_connections"], 1.0);
@@ -1266,7 +1268,7 @@ mod tests {
 
         let mut s = TcpStream::connect(r.addr()).unwrap();
         // One complete request the client will never read the answer to…
-        crate::framing::write_frame(&mut s, &[0x41]).unwrap();
+        WIRE.write(&mut s, &[0x41]).unwrap();
         // …then half of a second frame: a 64-byte promise, 3 bytes sent.
         s.write_all(&64u32.to_be_bytes()).unwrap();
         s.write_all(&[1, 2, 3]).unwrap();

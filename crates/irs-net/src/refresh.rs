@@ -1,14 +1,16 @@
 //! Wire-level filter refresh: how a proxy keeps its revoked-set filters
 //! current over the network (§4.4's hourly publication, on real sockets).
 //!
-//! Four entry points, all against a [`SharedProxy`]: the legacy Bloom
-//! pipeline ([`refresh_shared_filter`]) and the tiered one
-//! ([`refresh_shared_filter_tiered`]), each over a plain
-//! [`LedgerClient`] or, with the `_via` suffix, over a composed
-//! [`Service`] stack. Every one runs the version check and the apply
-//! inside one `update_filters` transaction, so concurrent lookups keep
-//! reading the old snapshot until the new one swaps in, and two racing
-//! refreshes cannot interleave their version reads and writes.
+//! One core per pipeline, each over a fetch closure against a
+//! [`SharedProxy`]: the legacy Bloom pipeline ([`refresh_shared_filter`])
+//! and the tiered one ([`refresh_shared_filter_tiered`], falling back to
+//! the legacy flow when a pre-tiered server answers `Unsupported`). The
+//! public functions fetch over a plain [`LedgerClient`];
+//! [`RefreshWorker`] fetches over a composed `Retry(Failover)` stack.
+//! Both cores run the version check and the apply inside one
+//! `update_filters` transaction, so concurrent lookups keep reading the
+//! old snapshot until the new one swaps in, and two racing refreshes
+//! cannot interleave their version reads and writes.
 //!
 //! [`RefreshWorker`] runs the shared refresh on a background thread and
 //! is built to survive a hostile network: a down ledger costs a failure
@@ -79,8 +81,37 @@ pub fn refresh_shared_filter(
     client: &mut LedgerClient,
     ledger: LedgerId,
 ) -> Result<RefreshOutcome, NetError> {
+    refresh_legacy(proxy, ledger, &mut |req| client.call(&req))
+}
+
+/// Epoch-aware refresh against the tiered pipeline (DESIGN.md §16):
+/// sends [`Request::GetFilterTiered`] with the held `(epoch, version)`
+/// and applies whichever tier the serve matrix answers with. The wire
+/// call runs outside any lock, and the `(epoch, version)` recheck plus
+/// the apply run inside one `update_filters` transaction. A server
+/// predating the tiered pipeline answers [`Response::Unsupported`], and
+/// the refresh degrades to the legacy [`refresh_shared_filter`] flow in
+/// the same round.
+pub fn refresh_shared_filter_tiered(
+    proxy: &SharedProxy,
+    client: &mut LedgerClient,
+    ledger: LedgerId,
+) -> Result<RefreshOutcome, NetError> {
+    refresh_tiered(proxy, ledger, &mut |req| client.call(&req))
+}
+
+/// One wire round trip for a refresh core.
+type Fetch<'a> = dyn FnMut(Request) -> Result<Response, NetError> + 'a;
+
+/// The legacy pipeline's core: fetch outside any lock, then recheck the
+/// held version and apply inside one transaction.
+fn refresh_legacy(
+    proxy: &SharedProxy,
+    ledger: LedgerId,
+    fetch: &mut Fetch<'_>,
+) -> Result<RefreshOutcome, NetError> {
     let have = proxy.filters_snapshot().version(ledger);
-    let response = client.call(&Request::GetFilter { have_version: have })?;
+    let response = fetch(Request::GetFilter { have_version: have })?;
     proxy.update_filters(|filters| {
         // Another refresher may have advanced the set between our
         // snapshot read and this transaction; re-check inside it.
@@ -88,6 +119,30 @@ pub fn refresh_shared_filter(
             return Ok(RefreshOutcome::AlreadyCurrent);
         }
         apply_response(filters, ledger, response)
+    })
+}
+
+/// The tiered pipeline's core, with the legacy fallback for a server
+/// that answers `Unsupported` (a pre-tiered peer during a rolling
+/// upgrade).
+fn refresh_tiered(
+    proxy: &SharedProxy,
+    ledger: LedgerId,
+    fetch: &mut Fetch<'_>,
+) -> Result<RefreshOutcome, NetError> {
+    let have = proxy.filters_snapshot().tiered_state(ledger);
+    let response = fetch(Request::GetFilterTiered {
+        have_epoch: have.0,
+        have_version: have.1,
+    })?;
+    if matches!(response, Response::Unsupported { .. }) {
+        return refresh_legacy(proxy, ledger, fetch);
+    }
+    proxy.update_filters(|filters| {
+        if filters.tiered_state(ledger) != have {
+            return Ok(RefreshOutcome::AlreadyCurrent);
+        }
+        apply_tiered_response(filters, ledger, response)
     })
 }
 
@@ -124,35 +179,6 @@ fn apply_response(
         Response::Error { .. } => Err(NetError::Frame("ledger has no published filter")),
         _ => Err(NetError::Frame("unexpected response to GetFilter")),
     }
-}
-
-/// Epoch-aware refresh against the tiered pipeline (DESIGN.md §16):
-/// sends [`Request::GetFilterTiered`] with the held `(epoch, version)`
-/// and applies whichever tier the serve matrix answers with. The wire
-/// call runs outside any lock, and the `(epoch, version)` recheck plus
-/// the apply run inside one `update_filters` transaction. A server
-/// predating the tiered pipeline answers [`Response::Unsupported`], and
-/// the refresh degrades to the legacy [`refresh_shared_filter`] flow in
-/// the same round.
-pub fn refresh_shared_filter_tiered(
-    proxy: &SharedProxy,
-    client: &mut LedgerClient,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters_snapshot().tiered_state(ledger);
-    let response = client.call(&Request::GetFilterTiered {
-        have_epoch: have.0,
-        have_version: have.1,
-    })?;
-    if matches!(response, Response::Unsupported { .. }) {
-        return refresh_shared_filter(proxy, client, ledger);
-    }
-    proxy.update_filters(|filters| {
-        if filters.tiered_state(ledger) != have {
-            return Ok(RefreshOutcome::AlreadyCurrent);
-        }
-        apply_tiered_response(filters, ledger, response)
-    })
 }
 
 fn apply_tiered_response(
@@ -204,61 +230,6 @@ fn apply_tiered_response(
         Response::Error { .. } => Err(NetError::Frame("ledger has no published filter")),
         _ => Err(NetError::Frame("unexpected response to GetFilterTiered")),
     }
-}
-
-/// [`refresh_shared_filter`] over a composed [`Service`] stack (usually
-/// `Retry(Failover(Tcp))`): whatever resilience the stack provides for
-/// the fetch itself, plus the outcome recorded into the proxy's
-/// per-ledger circuit breaker so the query path shares one view of
-/// upstream health.
-pub fn refresh_shared_filter_via<S: Service + ?Sized>(
-    proxy: &SharedProxy,
-    service: &S,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters_snapshot().version(ledger);
-    let result = service.call(
-        Request::GetFilter { have_version: have },
-        &CallCtx::at(SystemClock.now()),
-    );
-    proxy.record_upstream(ledger, result.is_ok(), SystemClock.now());
-    let response = result?;
-    proxy.update_filters(|filters| {
-        if filters.version(ledger) != have {
-            return Ok(RefreshOutcome::AlreadyCurrent);
-        }
-        apply_response(filters, ledger, response)
-    })
-}
-
-/// Tiered-first refresh over a composed [`Service`] stack — what the
-/// [`RefreshWorker`] runs each round. Falls back to the legacy
-/// [`refresh_shared_filter_via`] flow when the server answers
-/// [`Response::Unsupported`] (pre-tiered peer during a rolling upgrade).
-pub fn refresh_shared_filter_tiered_via<S: Service + ?Sized>(
-    proxy: &SharedProxy,
-    service: &S,
-    ledger: LedgerId,
-) -> Result<RefreshOutcome, NetError> {
-    let have = proxy.filters_snapshot().tiered_state(ledger);
-    let result = service.call(
-        Request::GetFilterTiered {
-            have_epoch: have.0,
-            have_version: have.1,
-        },
-        &CallCtx::at(SystemClock.now()),
-    );
-    proxy.record_upstream(ledger, result.is_ok(), SystemClock.now());
-    let response = result?;
-    if matches!(response, Response::Unsupported { .. }) {
-        return refresh_shared_filter_via(proxy, service, ledger);
-    }
-    proxy.update_filters(|filters| {
-        if filters.tiered_state(ledger) != have {
-            return Ok(RefreshOutcome::AlreadyCurrent);
-        }
-        apply_tiered_response(filters, ledger, response)
-    })
 }
 
 /// Point-in-time counters from a [`RefreshWorker`].
@@ -326,10 +297,11 @@ impl WorkerShared {
 /// and backoff schedule are independent, so a down shard retries on its
 /// own shrinking-then-doubling schedule (starting at 1/8 of the
 /// interval, capped at the full interval) while every healthy shard
-/// keeps its steady-state cadence. The [`FilterSet`] ORs the per-shard
-/// Blooms into one published filter as each arrives — filters are
-/// per-ledger already, so shard-awareness is purely a scheduling
-/// concern. Threads only exit on [`stop`].
+/// keeps its steady-state cadence. Each round refreshes tiered-first
+/// ([`refresh_shared_filter_tiered`]'s flow, over a `Retry(Failover)`
+/// stack) and installs into the shard's own per-ledger slot of the
+/// [`FilterSet`] — filters are per-ledger already, so shard-awareness is
+/// purely a scheduling concern. Threads only exit on [`stop`].
 ///
 /// [`stop`]: RefreshWorker::stop
 pub struct RefreshWorker {
@@ -451,14 +423,22 @@ fn run_shard(
 ) {
     let st = &shared.shards[index];
     let transports: Vec<_> = st.replicas.iter().map(|&a| pool.transport(a)).collect();
-    let fetch = Failover::new(transports).layered(RetryLayer::new(policy));
+    let stack = Failover::new(transports).layered(RetryLayer::new(policy));
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
         st.rounds.inc();
         shared.rounds.inc();
-        let delay = match refresh_shared_filter_tiered_via(proxy, &fetch, st.ledger) {
+        // Every fetch (the fallback's included) records its outcome into
+        // the proxy's per-ledger breaker, so the query path shares one
+        // view of upstream health.
+        let outcome = refresh_tiered(proxy, st.ledger, &mut |req| {
+            let result = stack.call(req, &CallCtx::at(SystemClock.now()));
+            proxy.record_upstream(st.ledger, result.is_ok(), SystemClock.now());
+            result
+        });
+        let delay = match outcome {
             Ok(outcome) => {
                 if !matches!(outcome, RefreshOutcome::AlreadyCurrent) {
                     st.installs.inc();
@@ -856,7 +836,6 @@ mod tests {
 
     #[test]
     fn tiered_refresh_falls_back_to_legacy_on_unsupported() {
-        use crate::service::service_fn;
         use irs_filters::BloomFilter;
         // A pre-tiered server: answers Unsupported for the new tag,
         // serves the legacy full filter.
@@ -864,16 +843,16 @@ mod tests {
         let id = irs_core::ids::RecordId::new(LedgerId(1), 7);
         f.insert(id.filter_key());
         let data = f.to_bytes();
-        let svc = service_fn(move |req, _ctx: &CallCtx| match req {
+        let mut fetch = |req| match req {
             Request::GetFilterTiered { .. } => Ok(Response::Unsupported { tag: 12 }),
             Request::GetFilter { .. } => Ok(Response::FilterFull {
                 version: 3,
                 data: data.clone(),
             }),
             other => panic!("unexpected request {other:?}"),
-        });
+        };
         let proxy = SharedProxy::new(ProxyConfig::default());
-        let outcome = refresh_shared_filter_tiered_via(&proxy, &svc, LedgerId(1)).unwrap();
+        let outcome = refresh_tiered(&proxy, LedgerId(1), &mut fetch).unwrap();
         assert!(
             matches!(outcome, RefreshOutcome::InstalledFull { version: 3, .. }),
             "{outcome:?}"

@@ -6,22 +6,20 @@
 //! independent [`Layer`] that wraps one service in another:
 //!
 //! * [`TcpTransport`] — the bottom: a pooled blocking socket client;
-//! * [`DeadlineLayer`] — a wall-clock budget for the whole subtree;
-//! * [`RetryLayer`] — bounded retries with seeded jittered backoff;
-//! * [`FailoverLayer`] — a replica set with cursor rotation;
+//! * [`RetryLayer`] — bounded retries with seeded jittered backoff,
+//!   owning the per-call wall-clock deadline;
+//! * [`Failover`] — a replica set with cursor rotation;
+//! * [`Route`] — the shard router over per-shard stacks;
 //! * [`BreakerLayer`] — the per-ledger lock-free circuit breaker;
 //! * [`StaleServeLayer`] — honest last-good answers when all else fails;
 //! * [`CacheLayer`] — the proxy's filter + striped TTL cache front;
-//! * [`BatchLayer`] — an aggregation window that mixes concurrent
-//!   queries into one upstream [`Request::Batch`];
 //! * [`SingleFlightLayer`] — concurrent misses on one record collapse
 //!   into a single upstream call whose verdict fans out to all waiters;
 //! * [`ShedLayer`] — priority load shedding by queue-depth and
 //!   deadline-headroom watermarks, answering `Response::Overloaded`;
 //! * [`GovernorLayer`] — per-client token-bucket admission with a
 //!   shared spillover pool;
-//! * [`ChaosLayer`] — deterministic in-process fault injection;
-//! * [`StatsLayer`] — a call-count/latency observation hook.
+//! * [`ChaosLayer`] — deterministic in-process fault injection.
 //!
 //! The degradation ladder from DESIGN.md ("Failure model & degradation
 //! ladder") is then literally a composition —
@@ -39,11 +37,9 @@ use irs_obs::{MaybeSpan, SpanRecorder};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub mod batch;
 pub mod breaker;
 pub mod cache;
 pub mod chaos;
-pub mod deadline;
 pub mod failover;
 pub mod governor;
 pub mod retry;
@@ -52,22 +48,18 @@ pub mod shed;
 pub mod singleflight;
 pub mod stacks;
 pub mod stale;
-pub mod stats;
 pub mod transport;
 
-pub use batch::{BatchLayer, BatchPolicy, Batched};
 pub use breaker::{Breaker, BreakerLayer};
 pub use cache::{Cache, CacheLayer};
 pub use chaos::{Chaos, ChaosLayer};
-pub use deadline::{Deadline, DeadlineLayer};
-pub use failover::{Failover, FailoverLayer};
+pub use failover::Failover;
 pub use governor::{Admission, Governor, GovernorLayer, GovernorPolicy, TokenGovernor};
 pub use retry::{jittered_backoff, Retry, RetryCounters, RetryLayer};
-pub use route::{Route, RouteLayer};
+pub use route::Route;
 pub use shed::{Priority, Shed, ShedLayer, ShedPolicy};
 pub use singleflight::{SingleFlight, SingleFlightLayer};
 pub use stale::{StaleServe, StaleServeLayer};
-pub use stats::{Stats, StatsHandle, StatsLayer, StatsSnapshot};
 pub use transport::{TcpTransport, TransportPool};
 
 /// Per-call context threaded through a stack: the logical timestamp the
@@ -167,8 +159,7 @@ pub trait Service: Send + Sync {
     fn call(&self, req: Request, ctx: &CallCtx) -> Result<Response, NetError>;
 }
 
-/// A service combinator: wraps an inner value (usually a [`Service`],
-/// but e.g. [`FailoverLayer`] wraps a `Vec<S>`) into a new service.
+/// A service combinator: wraps an inner service into a new service.
 pub trait Layer<S> {
     /// The wrapped service type.
     type Out: Service;

@@ -3,9 +3,8 @@
 //! [`Retry`] re-runs its inner service until it succeeds, the attempt
 //! budget runs out, or the per-call deadline (the policy's
 //! `call_deadline`, tightened against anything the caller already set)
-//! elapses — the exact loop the pre-refactor `ResilientClient` ran, now
-//! a layer any service can wear. Backoff jitter is drawn from a seeded
-//! SplitMix64 stream, so two replayed runs back off identically.
+//! elapses — one loop any service can wear. Backoff jitter is drawn from
+//! a seeded SplitMix64 stream, so two replayed runs back off identically.
 
 use super::{CallCtx, Layer, Service};
 use crate::chaos::splitmix64;
@@ -180,8 +179,13 @@ impl<S: Service> Service for Retry<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{service_fn, ServiceExt};
+    use crate::chaos::{ChaosConfig, ChaosProxy, FaultMode};
+    use crate::ledger_server::LedgerServer;
+    use crate::service::{service_fn, stacks, Failover, ServiceExt, TcpTransport};
+    use irs_core::ids::LedgerId;
     use irs_core::time::TimeMs;
+    use irs_core::tsa::TimestampAuthority;
+    use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
     #[test]
     fn succeeds_after_transient_failures() {
@@ -259,11 +263,10 @@ mod tests {
 
     #[test]
     fn outer_deadline_tighter_than_policy_wins() {
-        // An outer DeadlineLayer grants 20 ms; the retry policy would
-        // grant itself 800 ms. The inner service must see the *outer*
-        // budget — retries must never extend a deadline the caller
-        // already tightened.
-        use crate::service::DeadlineLayer;
+        // The caller grants 20 ms; the retry policy would grant itself
+        // 800 ms. The inner service must see the *caller's* budget —
+        // retries must never extend a deadline the caller already
+        // tightened.
         let tight = Duration::from_millis(20);
         let svc = service_fn(move |_req, ctx: &CallCtx| {
             let remaining = ctx.remaining().expect("deadline must be set");
@@ -273,9 +276,9 @@ mod tests {
             );
             Ok(Response::Pong)
         })
-        .layered(RetryLayer::new(RetryPolicy::fast(11)))
-        .layered(DeadlineLayer::new(tight));
-        svc.call(Request::Ping, &CallCtx::at(TimeMs(0))).unwrap();
+        .layered(RetryLayer::new(RetryPolicy::fast(11)));
+        let ctx = CallCtx::at(TimeMs(0)).with_deadline(Instant::now() + tight);
+        svc.call(Request::Ping, &ctx).unwrap();
     }
 
     #[test]
@@ -354,5 +357,92 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.iter().all(|d| *d <= policy.max_backoff));
         assert!(a.iter().all(|d| *d >= policy.base_backoff / 2));
+    }
+
+    /// `Retry(Failover(Tcp))` over `replicas` — the composition every
+    /// recovering caller builds (the refresh worker, the ladder's core).
+    fn tcp_stack(
+        replicas: &[std::net::SocketAddr],
+        policy: RetryPolicy,
+    ) -> Retry<Failover<TcpTransport>> {
+        Failover::new(stacks::transports(replicas, policy.io_timeout))
+            .layered(RetryLayer::new(policy))
+    }
+
+    fn ledger_server() -> LedgerServer {
+        let ledger = ConcurrentLedger::new(
+            LedgerConfig::new(LedgerId(1)),
+            TimestampAuthority::from_seed(0x2E5),
+        );
+        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
+    }
+
+    /// A reserved port with nothing listening: connects are refused.
+    fn dead_addr() -> std::net::SocketAddr {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap()
+    }
+
+    #[test]
+    fn retries_ride_through_partial_faults() {
+        let server = ledger_server();
+        let config =
+            ChaosConfig::new(21, 0.5).with_modes(&[FaultMode::Reset, FaultMode::TruncateResponse]);
+        let chaos = ChaosProxy::start(server.addr(), config).unwrap();
+        let stack = tcp_stack(&[chaos.addr()], RetryPolicy::fast(2));
+        let ok = (0..40)
+            .filter(|_| stack.call(Request::Ping, &CallCtx::wall()).is_ok())
+            .count();
+        // 50% per-exchange faults, 5 attempts: effectively every call
+        // lands (0.5^5 ≈ 3% residual, and 40 calls make the expected
+        // failures ≈ 1). Require a strong majority to stay robust.
+        assert!(ok >= 36, "only {ok}/40 calls survived 50% fault rate");
+        assert!(
+            stack.counters().retries > 0,
+            "chaos must have forced retries"
+        );
+        chaos.shutdown();
+        server.shutdown();
+    }
+
+    #[test]
+    fn fails_over_to_live_replica() {
+        // A dead primary plus a live replica: the first call must land
+        // on the replica, and later calls stay there without retrying.
+        let server = ledger_server();
+        let stack = tcp_stack(&[dead_addr(), server.addr()], RetryPolicy::fast(3));
+        let ctx = CallCtx::wall();
+        assert_eq!(stack.call(Request::Ping, &ctx).unwrap(), Response::Pong);
+        let failover = stack.get_ref();
+        let rotations = failover.failovers();
+        assert!(rotations >= 1);
+        assert_eq!(failover.current_index(), 1);
+        let retries = stack.counters().retries;
+        for _ in 0..10 {
+            assert_eq!(stack.call(Request::Ping, &ctx).unwrap(), Response::Pong);
+        }
+        assert_eq!(stack.counters().retries, retries);
+        assert_eq!(failover.failovers(), rotations);
+        server.shutdown();
+    }
+
+    #[test]
+    fn exhaustion_is_typed_and_bounded() {
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            call_deadline: Duration::from_millis(400),
+            ..RetryPolicy::fast(4)
+        };
+        let stack = tcp_stack(&[dead_addr()], policy);
+        let start = Instant::now();
+        match stack.call(Request::Ping, &CallCtx::wall()) {
+            Err(NetError::Exhausted { attempts }) => assert!(attempts <= 3),
+            other => panic!("expected exhaustion, got {other:?}"),
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "deadline must bound the call"
+        );
+        assert_eq!(stack.counters().exhausted, 1);
     }
 }

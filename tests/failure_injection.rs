@@ -8,7 +8,7 @@ use irs::imaging::watermark::WatermarkConfig;
 use irs::ledger::adversarial::{AdversarialLedger, Misbehavior};
 use irs::ledger::probe::Prober;
 use irs::ledger::{ConcurrentLedger, LedgerConfig};
-use irs::net::{LedgerClient, LedgerServer};
+use irs::net::{FrameCodec, LedgerClient, LedgerServer};
 use irs::protocol::claim::ClaimRequest;
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::time::TimeMs;
@@ -17,6 +17,8 @@ use irs::protocol::wire::{Request, Response, Wire};
 use irs::protocol::{Camera, UploadDecision};
 use irs::proxy::{ProxyConfig, SharedProxy};
 use std::sync::Arc;
+
+const WIRE: FrameCodec = FrameCodec::new(FrameCodec::MAX_FRAME);
 
 fn ledger(id: u16, seed: u64) -> ConcurrentLedger {
     ConcurrentLedger::with_shards(
@@ -36,14 +38,15 @@ fn tcp_server_survives_garbage_frames() {
     // Connection 1: sends garbage, gets errors, keeps working.
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     for payload in [&b"xx"[..], &[0xff; 100][..], &b""[..]] {
-        irs::net::framing::write_frame(&mut stream, payload).unwrap();
-        let frame = irs::net::framing::read_frame(&mut stream).unwrap();
+        WIRE.write(&mut stream, payload).unwrap();
+        let frame = WIRE.read(&mut stream).unwrap();
         let resp = Response::from_bytes(frame).unwrap();
         assert!(matches!(resp, Response::Error { .. }), "got {resp:?}");
     }
     // Then a valid request still works on the same connection.
-    irs::net::framing::write_frame(&mut stream, &Request::Ping.to_bytes().unwrap()).unwrap();
-    let frame = irs::net::framing::read_frame(&mut stream).unwrap();
+    WIRE.write(&mut stream, &Request::Ping.to_bytes().unwrap())
+        .unwrap();
+    let frame = WIRE.read(&mut stream).unwrap();
     assert_eq!(Response::from_bytes(frame).unwrap(), Response::Pong);
     // Connection 2 unaffected.
     let mut client = LedgerClient::connect(server.addr()).unwrap();
@@ -322,12 +325,13 @@ fn server_restart_then_client_reconnects() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// With one replica down hard, a ResilientClient must land every call on
-/// the survivor — and ride out injected faults on the path to it.
+/// With one replica down hard, a `Retry(Failover)` stack must land every
+/// call on the survivor — and ride out injected faults on the path to it.
 #[test]
 fn replica_failover_rides_through_chaos() {
     use irs::net::chaos::{ChaosConfig, ChaosProxy, FaultMode};
-    use irs::net::{ResilientClient, RetryPolicy};
+    use irs::net::service::{stacks, CallCtx, Failover, RetryLayer, Service, ServiceExt};
+    use irs::net::RetryPolicy;
 
     let dead = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -342,11 +346,14 @@ fn replica_failover_rides_through_chaos() {
             .with_modes(&[FaultMode::Reset, FaultMode::TruncateResponse]),
     )
     .unwrap();
-    let mut client =
-        ResilientClient::new(vec![dead, chaos.addr()], RetryPolicy::fast(chaos_seed()));
+    let policy = RetryPolicy::fast(chaos_seed());
+    let transports = stacks::transports(&[dead, chaos.addr()], policy.io_timeout);
+    let client = Failover::new(transports).layered(RetryLayer::new(policy));
     let mut ok = 0;
     for _ in 0..20 {
-        if let Ok(Response::Status { status, .. }) = client.call(&Request::Query { id }) {
+        if let Ok(Response::Status { status, .. }) =
+            client.call(Request::Query { id }, &CallCtx::wall())
+        {
             assert_eq!(status, irs::protocol::RevocationStatus::Revoked);
             ok += 1;
         }
@@ -355,7 +362,7 @@ fn replica_failover_rides_through_chaos() {
     // a percent; require a strong majority for seed robustness.
     assert!(ok >= 17, "only {ok}/20 calls landed on the live replica");
     assert!(
-        client.stats.failovers >= 1,
+        client.get_ref().failovers() >= 1,
         "dead replica must force failover"
     );
     chaos.shutdown();
