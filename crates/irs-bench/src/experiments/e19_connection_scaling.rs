@@ -24,14 +24,16 @@
 use crate::table::{f, Table};
 use irs_core::claim::ClaimRequest;
 use irs_core::ids::{LedgerId, RecordId};
-use irs_core::time::TimeMs;
+use irs_core::time::{Clock, SystemClock, TimeMs};
 use irs_core::tsa::TimestampAuthority;
-use irs_core::wire::{Request, Response};
+use irs_core::wire::{Request, Response, Wire};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{ConcurrentLedger, LedgerConfig};
 use irs_net::client::LedgerClient;
+use irs_net::codec::{refusal, FrameCodec};
 use irs_net::ledger_server::LedgerServer;
 use irs_net::reactor::sys::raise_nofile_limit;
+use irs_net::{NetError, ServerHandle};
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +56,7 @@ const FD_SLACK: usize = 256;
 
 /// Which server engine a rung measures.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
+pub enum ServerKind {
     /// Event-loop reactor workers (the default engine).
     Reactor,
     /// Thread per connection (the pre-reactor baseline).
@@ -108,11 +110,50 @@ pub fn serve_child(records: u64) -> ! {
     std::process::exit(0);
 }
 
-/// A server for one rung: in-process when the fd budget allows, else a
-/// child process running `e19-server` (reactor only — the threaded
-/// baseline is never measured past the in-process budget).
+/// The thread-per-connection baseline: one OS thread per accepted
+/// connection, each looping blocking read → ledger → blocking write.
+/// Requests are read under the request-frame cap; a 200 ms read
+/// timeout lets each connection thread notice shutdown.
+fn start_threaded(ledger: Arc<ConcurrentLedger>) -> std::io::Result<ServerHandle> {
+    let requests = FrameCodec::new(FrameCodec::MAX_REQUEST_FRAME);
+    let responses = FrameCodec::new(FrameCodec::MAX_FRAME);
+    ServerHandle::spawn("127.0.0.1:0", move |mut stream, stop| {
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+        loop {
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let frame = match requests.read(&mut stream) {
+                Ok(f) => f,
+                Err(NetError::Io(e))
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    continue;
+                }
+                Err(_) => return,
+            };
+            let response = match Request::from_bytes(frame) {
+                Ok(request) => ledger.handle(request, SystemClock.now()),
+                Err(e) => refusal(e),
+            };
+            if responses
+                .write(&mut stream, &FrameCodec::response_bytes(&response))
+                .is_err()
+            {
+                return;
+            }
+        }
+    })
+}
+
+/// A server for one rung: the reactor or the threaded baseline
+/// in-process when the fd budget allows, else a child process running
+/// `e19-server` (reactor only — the threaded baseline is never measured
+/// past the in-process budget).
 enum RungServer {
     InProc(LedgerServer),
+    Threaded(ServerHandle),
     Child(std::process::Child, SocketAddr),
 }
 
@@ -120,16 +161,20 @@ impl RungServer {
     fn addr(&self) -> SocketAddr {
         match self {
             RungServer::InProc(s) => s.addr(),
+            RungServer::Threaded(h) => h.addr(),
             RungServer::Child(_, addr) => *addr,
         }
     }
 
-    /// Serving threads at peak, queried *while `conns` are connected*.
-    /// The child server is interrogated over the wire: the reactor
-    /// publishes `irs_net_reactor_workers` into the ledger's registry.
+    /// Serving threads at peak, queried *while `conns` are connected*
+    /// (`probe` is connected too). The threaded baseline runs one thread
+    /// per live connection, the probe's excluded. The child server is
+    /// interrogated over the wire: the reactor publishes
+    /// `irs_net_reactor_workers` into the ledger's registry.
     fn serving_threads(&self, probe: &mut LedgerClient) -> usize {
         match self {
             RungServer::InProc(s) => s.serving_threads(),
+            RungServer::Threaded(h) => h.live_connections().saturating_sub(1),
             RungServer::Child(..) => {
                 let Ok(Response::MetricsText(text)) = probe.call(&Request::Metrics) else {
                     return 0;
@@ -145,6 +190,7 @@ impl RungServer {
     fn shutdown(self) {
         match self {
             RungServer::InProc(s) => s.shutdown(),
+            RungServer::Threaded(h) => h.shutdown(),
             RungServer::Child(mut child, _) => {
                 // Closing stdin releases the child's read_line park.
                 drop(child.stdin.take());
@@ -154,10 +200,10 @@ impl RungServer {
     }
 }
 
-fn start_server(engine: EngineKind, conns: usize, records: u64) -> std::io::Result<RungServer> {
+fn start_server(engine: ServerKind, conns: usize, records: u64) -> std::io::Result<RungServer> {
     let fd_budget = raise_nofile_limit() as usize;
     let in_proc_need = 2 * conns + FD_SLACK;
-    if engine == EngineKind::Reactor && in_proc_need > fd_budget {
+    if engine == ServerKind::Reactor && in_proc_need > fd_budget {
         // Split the fd bill across two processes: the server child holds
         // the accept half, this process keeps the client half.
         let exe = std::env::current_exe()?;
@@ -180,17 +226,18 @@ fn start_server(engine: EngineKind, conns: usize, records: u64) -> std::io::Resu
         return Ok(RungServer::Child(child, addr));
     }
     let ledger = Arc::new(build_ledger(records));
-    let server = match engine {
-        EngineKind::Reactor => LedgerServer::start_shared(ledger, "127.0.0.1:0")?,
-        EngineKind::Threaded => LedgerServer::start_threaded(ledger, "127.0.0.1:0")?,
-    };
-    Ok(RungServer::InProc(server))
+    Ok(match engine {
+        ServerKind::Reactor => {
+            RungServer::InProc(LedgerServer::start_shared(ledger, "127.0.0.1:0")?)
+        }
+        ServerKind::Threaded => RungServer::Threaded(start_threaded(ledger)?),
+    })
 }
 
 /// Dial with retries: a rung that opens thousands of sockets in a burst
 /// can outrun the listener's accept backlog, and a refused dial just
 /// needs a moment for the reactor to drain the queue.
-fn connect_patiently(addr: SocketAddr) -> Result<LedgerClient, irs_net::NetError> {
+fn connect_patiently(addr: SocketAddr) -> Result<LedgerClient, NetError> {
     let mut last = None;
     for attempt in 0..5 {
         match LedgerClient::connect_with_timeout(addr, Duration::from_secs(5)) {
@@ -223,7 +270,7 @@ fn percentile(sorted_ns: &[u64], p: f64) -> f64 {
 /// `ops_per_conn` queries over each from `DRIVERS` driver threads,
 /// report aggregate throughput and latency percentiles.
 pub fn measure(
-    engine: EngineKind,
+    engine: ServerKind,
     conns: usize,
     ops_per_conn: u64,
     records: u64,
@@ -290,14 +337,7 @@ pub fn measure(
     // any connection gauge is read.
     let mut probe = connect_patiently(addr).expect("probe connection");
     probe.call(&Request::Ping).expect("probe ping");
-    let serving_threads = match (&server, engine) {
-        // Threaded in-proc: the engine reports live connections == its
-        // thread count; include the probe itself, then exclude it.
-        (RungServer::InProc(_), EngineKind::Threaded) => {
-            server.serving_threads(&mut probe).saturating_sub(1)
-        }
-        _ => server.serving_threads(&mut probe),
-    };
+    let serving_threads = server.serving_threads(&mut probe);
     drop(probe);
 
     let mut all: Vec<u64> = latencies
@@ -352,7 +392,7 @@ pub fn run(quick: bool) -> String {
             101..=1_000 => 20,
             _ => 5,
         };
-        let reactor = measure(EngineKind::Reactor, conns, ops_per_conn, records, seed);
+        let reactor = measure(ServerKind::Reactor, conns, ops_per_conn, records, seed);
         table.row(vec![
             conns.to_string(),
             "reactor".into(),
@@ -362,7 +402,7 @@ pub fn run(quick: bool) -> String {
             reactor.serving_threads.to_string(),
         ]);
         if conns <= 1_000 {
-            let threaded = measure(EngineKind::Threaded, conns, ops_per_conn, records, seed);
+            let threaded = measure(ServerKind::Threaded, conns, ops_per_conn, records, seed);
             table.row(vec![
                 conns.to_string(),
                 "threaded".into(),
@@ -416,14 +456,14 @@ pub fn check(quick: bool) -> Result<String, String> {
     let mut last = String::new();
     for attempt in 1..=3 {
         let reactor = measure(
-            EngineKind::Reactor,
+            ServerKind::Reactor,
             conns,
             ops_per_conn,
             records,
             seed + attempt,
         );
         let threaded = measure(
-            EngineKind::Threaded,
+            ServerKind::Threaded,
             conns,
             ops_per_conn,
             records,
@@ -467,8 +507,8 @@ mod tests {
     /// bounded by the pool (not the connection count).
     #[test]
     fn small_rung_measures_both_engines() {
-        let reactor = measure(EngineKind::Reactor, 10, 5, 500, 7);
-        let threaded = measure(EngineKind::Threaded, 10, 5, 500, 7);
+        let reactor = measure(ServerKind::Reactor, 10, 5, 500, 7);
+        let threaded = measure(ServerKind::Threaded, 10, 5, 500, 7);
         assert!(reactor.tput > 0.0 && threaded.tput > 0.0);
         assert!(reactor.p99_us > 0.0);
         let cores = std::thread::available_parallelism()

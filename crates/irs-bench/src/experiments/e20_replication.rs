@@ -32,6 +32,8 @@ use irs_ledger::{
     ChaosDisk, ChaosDiskConfig, ConcurrentLedger, Disk, DurabilityConfig, Follower, FsyncPolicy,
     LedgerConfig, ReplicationPolicy, SegmentData,
 };
+use irs_net::LedgerClient;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,6 +43,36 @@ const LEDGER: LedgerId = LedgerId(1);
 
 /// Frames per follower poll.
 const POLL_FRAMES: u32 = 64;
+
+/// Tail `primary`'s WAL over the wire into `follower`, one bounded
+/// `WalSubscribe` poll after another, until `stop` is raised or the
+/// primary stops answering with segments.
+pub(crate) fn tail_wal(primary: SocketAddr, follower: &mut Follower, stop: &AtomicBool) {
+    let mut tail = LedgerClient::connect(primary).unwrap();
+    while !stop.load(Ordering::SeqCst) {
+        let Ok(Response::WalSegment {
+            first_seq,
+            durable_seq,
+            log_start_seq,
+            frames,
+        }) = tail.call(&Request::WalSubscribe {
+            from_seq: follower.next_seq(),
+            max_frames: POLL_FRAMES,
+        })
+        else {
+            break;
+        };
+        let segment = SegmentData {
+            first_seq,
+            durable_seq,
+            log_start_seq,
+            frames,
+        };
+        if follower.apply_segment(&segment).is_err() {
+            break;
+        }
+    }
+}
 
 /// Replication policies swept by the kill table.
 pub const POLICIES: [ReplicationPolicy; 2] = [
@@ -336,7 +368,7 @@ pub fn catch_up(claims: u64, split: u64) -> (u64, usize, bool) {
 /// it. Returns (acked writes, answered after failover, failovers).
 pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
     use irs_net::service::{stacks, CallCtx, Failover, Service};
-    use irs_net::{LedgerClient, LedgerServer};
+    use irs_net::LedgerServer;
 
     let primary_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(9)));
     let server = LedgerServer::start_durable(
@@ -353,7 +385,7 @@ pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
 
     // Bootstrap the follower over the wire.
     let mut boot = LedgerClient::connect(primary_addr).unwrap();
-    let Response::Snapshot { seq, data } = boot.fetch_snapshot().unwrap() else {
+    let Response::Snapshot { seq, data } = boot.call(&Request::FetchSnapshot).unwrap() else {
         panic!("expected snapshot response");
     };
     let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(10)));
@@ -369,35 +401,10 @@ pub fn promote_over_tcp(claims: u64) -> (u64, u64, u64) {
     let promoted = follower.ledger();
 
     // Tail over the wire while the workload runs.
-    let dead = Arc::new(AtomicBool::new(false));
+    let dead = AtomicBool::new(false);
     let acked = {
-        let poller_dead = dead.clone();
         std::thread::scope(|s| {
-            let poller = s.spawn(move || {
-                let mut tail = LedgerClient::connect(primary_addr).unwrap();
-                while !poller_dead.load(Ordering::SeqCst) {
-                    let Ok(Response::WalSegment {
-                        first_seq,
-                        durable_seq,
-                        log_start_seq,
-                        frames,
-                    }) = tail.wal_subscribe(follower.next_seq(), POLL_FRAMES)
-                    else {
-                        break;
-                    };
-                    if follower
-                        .apply_segment(&SegmentData {
-                            first_seq,
-                            durable_seq,
-                            log_start_seq,
-                            frames,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            });
+            let poller = s.spawn(|| tail_wal(primary_addr, &mut follower, &dead));
             let kp = Keypair::from_seed(&[0x22; 32]);
             let mut client = LedgerClient::connect(primary_addr).unwrap();
             let mut acked: Vec<RecordId> = Vec::new();

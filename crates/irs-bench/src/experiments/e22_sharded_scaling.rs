@@ -26,6 +26,7 @@
 //! and 13): ≥3× aggregate validate QPS at 4 shards vs 1, and the drill
 //! recovers 100% of acked writes with no shard-2 collateral.
 
+use super::e20_replication::tail_wal;
 use crate::table::{f, Table};
 use irs_core::claim::ClaimRequest;
 use irs_core::ids::{LedgerId, RecordId};
@@ -35,7 +36,7 @@ use irs_core::wire::{Request, Response};
 use irs_crypto::{Digest, Keypair};
 use irs_ledger::{
     ChaosDisk, ChaosDiskConfig, ConcurrentLedger, Disk, DurabilityConfig, Follower, FsyncPolicy,
-    LedgerConfig, ReplicationPolicy, SegmentData, ShardDirectory, ShardMap, ShardSpec,
+    LedgerConfig, ReplicationPolicy, ShardDirectory, ShardMap, ShardSpec,
 };
 use irs_net::resilient::RetryPolicy;
 use irs_net::service::{stacks, CallCtx, Route, Service, TransportPool};
@@ -219,7 +220,6 @@ pub struct DrillOutcome {
 
 /// The mid-sweep failover drill over real sockets (module docs, part 2).
 pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
-    const POLL_FRAMES: u32 = 64;
     let claims_n: u64 = if quick { 24 } else { 48 };
     let sweep_rounds = if quick { 40 } else { 120 };
 
@@ -243,7 +243,7 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
     // on the address the shard map advertises — the failover target
     // exists *before* the failure, it is not conjured afterwards.
     let mut boot = LedgerClient::connect(primary_addr).unwrap();
-    let Ok(Response::Snapshot { seq, data }) = boot.fetch_snapshot() else {
+    let Ok(Response::Snapshot { seq, data }) = boot.call(&Request::FetchSnapshot) else {
         panic!("snapshot fetch failed");
     };
     let follower_disk = Arc::new(ChaosDisk::new(ChaosDiskConfig::off(seed + 1)));
@@ -283,24 +283,17 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
     .unwrap();
     // Every server learns its shard identity: misrouted keys now refuse
     // with `WrongShard` instead of silently landing on the wrong ledger.
-    assert!(primary
-        .ledger()
-        .set_shard_directory(Arc::new(ShardDirectory::for_shard(
-            LedgerId(1),
-            map.clone()
-        ))));
-    assert!(follower_server
-        .ledger()
-        .set_shard_directory(Arc::new(ShardDirectory::for_shard(
-            LedgerId(1),
-            map.clone()
-        ))));
-    assert!(shard2
-        .ledger()
-        .set_shard_directory(Arc::new(ShardDirectory::for_shard(
-            LedgerId(2),
-            map.clone()
-        ))));
+    for (server, shard) in [
+        (&primary, LedgerId(1)),
+        (&follower_server, LedgerId(1)),
+        (&shard2, LedgerId(2)),
+    ] {
+        let dir = ShardDirectory::for_shard(shard, map.clone());
+        server
+            .ledger()
+            .set_shard_directory(Arc::new(dir))
+            .expect("fresh shard server");
+    }
 
     // The routed client: Retry(Failover(pooled transports)) per shard —
     // failover rotates within shard 1's replica pair only.
@@ -319,36 +312,11 @@ pub fn failover_drill(quick: bool, seed: u64) -> DrillOutcome {
 
     // Ingest through the route while a WAL poller tails the primary
     // into the follower (the PR-7 replication path, over real sockets).
-    let dead = Arc::new(AtomicBool::new(false));
+    let dead = AtomicBool::new(false);
     let kp = Keypair::from_seed(&[0x23; 32]);
     let acked: Vec<RecordId> = {
-        let poller_dead = dead.clone();
         std::thread::scope(|s| {
-            let poller = s.spawn(move || {
-                let mut tail = LedgerClient::connect(primary_addr).unwrap();
-                while !poller_dead.load(Ordering::SeqCst) {
-                    let Ok(Response::WalSegment {
-                        first_seq,
-                        durable_seq,
-                        log_start_seq,
-                        frames,
-                    }) = tail.wal_subscribe(follower.next_seq(), POLL_FRAMES)
-                    else {
-                        break;
-                    };
-                    if follower
-                        .apply_segment(&SegmentData {
-                            first_seq,
-                            durable_seq,
-                            log_start_seq,
-                            frames,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            });
+            let poller = s.spawn(|| tail_wal(primary_addr, &mut follower, &dead));
             let mut acked = Vec::new();
             for i in 0..claims_n {
                 let claim = ClaimRequest::create(&kp, &Digest::of(&(seed ^ i).to_le_bytes()));

@@ -16,6 +16,7 @@ use irs_core::tsa::TimestampAuthority;
 use irs_core::wire::Request;
 use irs_filters::BloomFilter;
 use irs_ledger::{ConcurrentLedger, LedgerConfig};
+use irs_net::service::stacks;
 use irs_net::{LedgerClient, LedgerServer, ProxyServer};
 use irs_proxy::{ProxyConfig, SharedProxy};
 use irs_simnet::{LatencyModel, Link};
@@ -84,8 +85,9 @@ pub fn run(quick: bool) -> String {
     proxy
         .update_filters(|fs| fs.apply_full(LedgerId(0), 1, filter.to_bytes()))
         .expect("install");
-    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr())
-        .expect("proxy server");
+    let stack = stacks::plain_upstream(proxy.clone(), ledger_server.addr());
+    let proxy_server =
+        ProxyServer::start_with_stack(proxy, "127.0.0.1:0", stack).expect("proxy server");
 
     let config = ScrollConfig {
         viewports,

@@ -523,12 +523,21 @@ impl ConcurrentLedger {
         }
     }
 
-    /// Attach this server's shard identity + placement view. Callable
-    /// once, before serving; returns `false` (and changes nothing) if a
-    /// directory is already attached. Subsequent epoch bumps go through
-    /// [`ShardDirectory::install`] on the shared handle.
-    pub fn set_shard_directory(&self, dir: Arc<ShardDirectory>) -> bool {
-        self.shard_dir.set(dir).is_ok()
+    /// Attach this server's shard identity + placement view: the ledger
+    /// then answers `GetShardMap` from `dir` and refuses keyed requests
+    /// it does not own with `WrongShard { epoch }` (the server half of
+    /// the DESIGN.md §15 protocol). Callable once, before serving.
+    /// Fails, changing nothing, if `dir` does not name this ledger as
+    /// its own shard or a directory is already attached. Subsequent
+    /// epoch bumps go through [`ShardDirectory::install`] on the shared
+    /// handle.
+    pub fn set_shard_directory(&self, dir: Arc<ShardDirectory>) -> Result<(), &'static str> {
+        if dir.own() != Some(self.id()) {
+            return Err("shard directory does not name this ledger as its own shard");
+        }
+        self.shard_dir
+            .set(dir)
+            .map_err(|_| "ledger already has a shard directory")
     }
 
     /// The attached shard directory, if any.
@@ -1119,6 +1128,36 @@ mod tests {
         }
         let stats = l.stats();
         assert_eq!((stats.claims, stats.queries, stats.revokes), (1, 1, 1));
+    }
+
+    /// A shard directory attaches only when it names this ledger as its
+    /// own shard, and only once; a refused attach changes nothing.
+    #[test]
+    fn shard_directory_attaches_once_and_only_to_its_own_shard() {
+        use crate::placement::{ShardMap, ShardSpec};
+        let map = |epoch| {
+            let specs = vec![
+                ShardSpec::new(LedgerId(1), vec!["127.0.0.1:1".to_string()]),
+                ShardSpec::new(LedgerId(2), vec!["127.0.0.1:2".to_string()]),
+            ];
+            ShardMap::new(epoch, specs).unwrap()
+        };
+        let l = ledger();
+        let foreign = Arc::new(ShardDirectory::for_shard(LedgerId(2), map(1)));
+        assert!(l.set_shard_directory(foreign).is_err());
+        let router = Arc::new(ShardDirectory::for_router(map(1)));
+        assert!(l.set_shard_directory(router).is_err());
+        assert!(l.shard_directory().is_none());
+
+        let own = Arc::new(ShardDirectory::for_shard(LedgerId(1), map(1)));
+        l.set_shard_directory(own.clone()).unwrap();
+        let second = Arc::new(ShardDirectory::for_shard(LedgerId(1), map(2)));
+        assert!(l.set_shard_directory(second).is_err());
+        assert!(Arc::ptr_eq(l.shard_directory().unwrap(), &own));
+        match l.handle(Request::GetShardMap, TimeMs(1)) {
+            Response::ShardMap { epoch, .. } => assert_eq!(epoch, 1, "the first map stays"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

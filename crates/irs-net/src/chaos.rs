@@ -346,18 +346,11 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::client::LedgerClient;
-    use crate::ledger_server::LedgerServer;
-    use irs_core::ids::LedgerId;
-    use irs_core::tsa::TimestampAuthority;
+    use crate::ledger_server::{test_server, LedgerServer};
     use irs_core::wire::{Request, Response};
-    use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
     fn ledger_server() -> LedgerServer {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(0xC4A05),
-        );
-        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
+        test_server(0xC4A05, "127.0.0.1:0")
     }
 
     #[test]

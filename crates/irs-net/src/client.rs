@@ -62,28 +62,6 @@ impl LedgerClient {
         Ok(())
     }
 
-    /// Poll one bounded batch of WAL frames starting at `from_seq`
-    /// (replication follower path). Polling `from_seq = n` doubles as
-    /// the follower's acknowledgement of every frame below `n`.
-    pub fn wal_subscribe(&mut self, from_seq: u64, max_frames: u32) -> Result<Response, NetError> {
-        self.call(&Request::WalSubscribe {
-            from_seq,
-            max_frames,
-        })
-    }
-
-    /// Fetch a snapshot of the primary's full state plus the WAL
-    /// sequence number it covers (replication bootstrap path).
-    pub fn fetch_snapshot(&mut self) -> Result<Response, NetError> {
-        self.call(&Request::FetchSnapshot)
-    }
-
-    /// Fetch the server's shard directory (router bootstrap and
-    /// `WrongShard` self-healing path).
-    pub fn get_shard_map(&mut self) -> Result<Response, NetError> {
-        self.call(&Request::GetShardMap)
-    }
-
     /// One request/response exchange. An I/O failure mid-exchange poisons
     /// the stream and surfaces as [`NetError::ConnectionLost`]; the caller
     /// must [`reconnect`](LedgerClient::reconnect) before retrying.
@@ -129,11 +107,7 @@ fn exchange(stream: &mut TcpStream, payload: &[u8]) -> Result<Response, NetError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger_server::LedgerServer;
-    use irs_core::ids::LedgerId;
-    use irs_core::tsa::TimestampAuthority;
-    use irs_ledger::{ConcurrentLedger, LedgerConfig};
-    use std::sync::Arc;
+    use crate::ledger_server::test_server;
 
     #[test]
     fn connect_to_nothing_fails() {
@@ -145,11 +119,7 @@ mod tests {
 
     #[test]
     fn dead_stream_surfaces_connection_lost_until_reconnect() {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(3),
-        );
-        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+        let server = test_server(3, "127.0.0.1:0");
         let addr = server.addr();
         let mut client =
             LedgerClient::connect_with_timeout(addr, Duration::from_millis(500)).unwrap();
@@ -170,11 +140,7 @@ mod tests {
         ));
 
         // Restart on the same port; reconnect revives the client.
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(3),
-        );
-        let server = LedgerServer::start_shared(Arc::new(ledger), &addr.to_string()).unwrap();
+        let server = test_server(3, &addr.to_string());
         client.reconnect().unwrap();
         assert!(client.is_connected());
         assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);

@@ -23,10 +23,15 @@
 //! [`BytesBuf`] is a growable buffer with a consume cursor. Reads
 //! append at the tail, the decoder consumes from the head, and the
 //! buffer compacts itself so steady-state traffic never reallocates.
+//!
+//! On top of the framing sits [`answer`], the one rule by which every
+//! reactor server turns a request frame into a reply frame: decode,
+//! call a [`Service`], encode.
 
+use crate::service::{CallCtx, Service};
 use crate::NetError;
 use bytes::Bytes;
-use irs_core::wire::{Response, Wire, WireError};
+use irs_core::wire::{Request, Response, Wire, WireError};
 use std::io::{Read, Write};
 
 /// A reusable byte buffer: append at the tail, consume from the head.
@@ -261,6 +266,29 @@ impl FrameCodec {
     }
 }
 
+/// Answer one request frame — the one frame-to-answer rule every
+/// reactor server runs. The frame decodes (or is refused by
+/// [`refusal`]), `service` answers it on behalf of connection `conn`
+/// under one wall-clock reading, and the reply is encoded. A failed
+/// call keeps the wire honest: shed load stays `Overloaded` so the
+/// client backs off by the hint instead of treating a live but
+/// protecting server as dead, and every other error is an
+/// `UNAVAILABLE` error — never a bogus status.
+pub fn answer(service: &dyn Service, frame: Bytes, conn: u64) -> Bytes {
+    let response = match Request::from_bytes(frame) {
+        Ok(request) => match service.call(request, &CallCtx::wall().with_client(conn)) {
+            Ok(response) => response,
+            Err(NetError::Overloaded { retry_after_ms }) => Response::Overloaded { retry_after_ms },
+            Err(_) => Response::Error {
+                code: irs_ledger::codes::UNAVAILABLE,
+                message: "upstream unavailable".to_string(),
+            },
+        },
+        Err(e) => refusal(e),
+    };
+    FrameCodec::response_bytes(&response)
+}
+
 /// The answer to a request frame that does not decode — one rule for
 /// every server. A well-framed request whose tag this build has never
 /// heard of is a *newer peer*, not a protocol violation: it gets a
@@ -397,6 +425,51 @@ mod tests {
             codec.read(&mut Cursor::new(buf)),
             Err(NetError::Frame("stream ended mid-frame"))
         ));
+    }
+
+    /// One rule, every outcome: an answer passes through, shed load
+    /// keeps its admission shape, any other failure is `UNAVAILABLE`,
+    /// and a frame that does not decode never reaches the service.
+    #[test]
+    fn answer_maps_every_outcome_to_one_reply() {
+        use crate::service::service_fn;
+        use irs_core::ids::{LedgerId, RecordId};
+
+        let service = service_fn(|req, ctx| {
+            assert_eq!(ctx.client, Some(9), "the connection id rides along");
+            match req {
+                Request::Ping => Ok(Response::Pong),
+                Request::Query { id } if id.serial == 7 => {
+                    Err(NetError::Overloaded { retry_after_ms: 7 })
+                }
+                Request::Query { .. } => Err(NetError::ConnectionLost),
+                _ => panic!("only pings and queries are sent"),
+            }
+        });
+        let ask = |frame: Bytes| Response::from_bytes(answer(&service, frame, 9)).unwrap();
+        let query = |serial| {
+            Request::Query {
+                id: RecordId::new(LedgerId(1), serial),
+            }
+            .to_bytes()
+            .unwrap()
+        };
+
+        assert_eq!(ask(Request::Ping.to_bytes().unwrap()), Response::Pong);
+        assert_eq!(ask(query(7)), Response::Overloaded { retry_after_ms: 7 });
+        let Response::Error { code, .. } = ask(query(8)) else {
+            panic!("a failed call must answer with an error");
+        };
+        assert_eq!(code, irs_ledger::codes::UNAVAILABLE);
+        // Protocol version 1, then a tag far beyond anything assigned.
+        assert_eq!(
+            ask(Bytes::from_static(&[1, 0xee])),
+            Response::Unsupported { tag: 0xee }
+        );
+        let Response::Error { code, .. } = ask(Bytes::from_static(b"\xff\xffgarbage")) else {
+            panic!("garbage must answer with an error");
+        };
+        assert_eq!(code, irs_ledger::codes::BAD_REQUEST);
     }
 
     #[test]

@@ -1,54 +1,40 @@
 //! A ledger behind the wire protocol — the §4.3 "prototype ledger".
 //!
-//! Since the event-loop PR the default engine is the
-//! [`reactor`](crate::reactor): a fixed pool of worker threads runs
-//! readiness loops over non-blocking sockets, so connection count is
-//! bounded by memory rather than by thread count, and pipelined clients
-//! ([`crate::mux::MuxClient`]) multiplex many requests per connection.
-//! The original thread-per-connection engine survives behind
-//! [`LedgerServer::start_threaded`] as the E19 comparison baseline.
+//! The server runs on the [`reactor`](crate::reactor): a fixed pool of
+//! worker threads runs readiness loops over non-blocking sockets, so
+//! connection count is bounded by memory rather than by thread count,
+//! and pipelined clients ([`crate::mux::MuxClient`]) multiplex many
+//! requests per connection. Every frame is answered by
+//! [`codec::answer`](crate::codec::answer) over one [`Service`] whose
+//! innermost call is the ledger's own request path — optionally behind
+//! admission control ([`LedgerServer::start_governed`]).
 //!
-//! Either way, connections share one [`ConcurrentLedger`] behind a plain
-//! `Arc` and call its `&self` request path directly: no whole-service
-//! mutex is held across request handling, so independent connections
-//! proceed in parallel (the E15 thread-scaling experiment measures the
-//! difference against a whole-ledger mutex).
+//! Connections share one [`ConcurrentLedger`] behind a plain `Arc` and
+//! call its `&self` request path directly: no whole-service mutex is
+//! held across request handling, so independent connections proceed in
+//! parallel (the E15 thread-scaling experiment measures the difference
+//! against a whole-ledger mutex).
 
-use crate::codec::{refusal, FrameCodec};
+use crate::codec::{answer, FrameCodec};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
-use crate::server::ServerHandle;
 use crate::service::{
-    service_fn, CallCtx, GovernorLayer, GovernorPolicy, ServiceExt, ShedLayer, ShedPolicy,
+    service_fn, CallCtx, GovernorLayer, GovernorPolicy, Service, ServiceExt, ShedLayer, ShedPolicy,
 };
-use irs_core::time::{Clock, SystemClock};
-use irs_core::wire::{Request, Response, Wire};
 use irs_ledger::sharded::DEFAULT_SHARDS;
 use irs_ledger::ConcurrentLedger;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-/// Which network engine a server runs on.
-enum Engine {
-    /// Event-loop workers (the default).
-    Reactor(ReactorHandle),
-    /// Thread per connection (the E19 baseline).
-    Threaded(ServerHandle),
-}
-
 /// A running TCP ledger server.
 pub struct LedgerServer {
     ledger: Arc<ConcurrentLedger>,
-    engine: Engine,
+    handle: ReactorHandle,
 }
 
-/// The shared request path: decode (or refuse), dispatch to the
-/// ledger, encode — identical under both engines.
-fn serve_frame(ledger: &ConcurrentLedger, frame: bytes::Bytes) -> bytes::Bytes {
-    let response = match Request::from_bytes(frame) {
-        Ok(request) => ledger.handle(request, SystemClock.now()),
-        Err(e) => refusal(e),
-    };
-    FrameCodec::response_bytes(&response)
+/// The ledger's request path as a [`Service`]: it never fails, it
+/// answers.
+fn ledger_service(ledger: Arc<ConcurrentLedger>) -> impl Service + 'static {
+    service_fn(move |req, ctx: &CallCtx| Ok(ledger.handle(req, ctx.now)))
 }
 
 impl LedgerServer {
@@ -71,161 +57,68 @@ impl LedgerServer {
         LedgerServer::start_shared(Arc::new(ledger), addr)
     }
 
-    /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral) on
-    /// the reactor engine with default tuning. Callers keep their own
-    /// `Arc` to drive the same instance from outside the server
-    /// (publishes, appeals, stats). Reactor gauges and histograms land
-    /// in the ledger's own registry, beside its counters.
+    /// Start serving `ledger` on `addr` ("127.0.0.1:0" for ephemeral)
+    /// with default reactor tuning. Callers keep their own `Arc` to
+    /// drive the same instance from outside the server (publishes,
+    /// appeals, stats, or attaching a shard directory with
+    /// [`ConcurrentLedger::set_shard_directory`]). Reactor gauges and
+    /// histograms land in the ledger's own registry, beside its
+    /// counters.
     pub fn start_shared(
         ledger: Arc<ConcurrentLedger>,
         addr: &str,
     ) -> std::io::Result<LedgerServer> {
-        let config = ReactorConfig {
-            registry: Some(ledger.metrics().clone()),
-            ..ReactorConfig::default()
-        };
-        let ledger_for_conns = ledger.clone();
-        let handle = Reactor::bind(
-            addr,
-            config,
-            Arc::new(move |frame, _conn| serve_frame(&ledger_for_conns, frame)),
-        )?;
-        Ok(LedgerServer {
-            ledger,
-            engine: Engine::Reactor(handle),
-        })
+        let service = ledger_service(ledger.clone());
+        LedgerServer::start(ledger, addr, ReactorConfig::default(), service)
     }
 
-    /// Start serving one **shard** of a sharded deployment: attaches
-    /// `dir` (the shard's identity plus its placement view) to the
-    /// ledger, then serves on the reactor engine. The attached
-    /// directory makes the ledger answer `GetShardMap` from `dir` and
-    /// refuse keyed requests it does not own with
-    /// `Response::WrongShard { epoch }` — the server half of the
-    /// DESIGN.md §15 self-healing protocol. Fails if the ledger already
-    /// has a directory or `dir` names a different shard than the
-    /// ledger's id.
-    pub fn start_sharded(
-        ledger: Arc<ConcurrentLedger>,
-        addr: &str,
-        dir: Arc<irs_ledger::ShardDirectory>,
-    ) -> std::io::Result<LedgerServer> {
-        if dir.own() != Some(ledger.id()) {
-            return Err(std::io::Error::other(
-                "shard directory does not name this ledger as its own shard",
-            ));
-        }
-        if !ledger.set_shard_directory(dir) {
-            return Err(std::io::Error::other(
-                "ledger already has a shard directory",
-            ));
-        }
-        LedgerServer::start_shared(ledger, addr)
-    }
-
-    /// Start on the reactor engine with **priority admission control**
-    /// in front of the ledger: every decoded request passes a
-    /// per-connection token-bucket [`Governor`](crate::service::Governor)
-    /// and a [`Shed`](crate::service::Shed) inflight gate *before*
-    /// touching ledger state. Over-rate or over-capacity load is
-    /// answered with `Response::Overloaded { retry_after_ms }` — an
-    /// admission verdict, not a failure: retry layers back off by the
-    /// hint and breakers do not count it against upstream health. The
-    /// governor keys buckets on the reactor's per-connection id, so one
-    /// abusive connection exhausts its own bucket while its neighbours
-    /// keep their full rate.
+    /// Start with **priority admission control** in front of the
+    /// ledger: every decoded request passes a per-connection
+    /// token-bucket [`Governor`](crate::service::Governor) and a
+    /// [`Shed`](crate::service::Shed) inflight gate *before* touching
+    /// ledger state. Over-rate or over-capacity load is answered with
+    /// `Response::Overloaded { retry_after_ms }` — an admission
+    /// verdict, not a failure: retry layers back off by the hint and
+    /// breakers do not count it against upstream health. The governor
+    /// keys buckets on the reactor's per-connection id, so one abusive
+    /// connection exhausts its own bucket while its neighbours keep
+    /// their full rate.
     pub fn start_governed(
         ledger: Arc<ConcurrentLedger>,
         addr: &str,
-        mut config: ReactorConfig,
+        config: ReactorConfig,
         governor: GovernorPolicy,
         shed: ShedPolicy,
     ) -> std::io::Result<LedgerServer> {
+        let registry = ledger.metrics().clone();
+        let service = ledger_service(ledger.clone())
+            .layered(ShedLayer::new(shed).with_registry(registry.clone()))
+            .layered(GovernorLayer::new(governor).with_registry(registry));
+        LedgerServer::start(ledger, addr, config, service)
+    }
+
+    /// Bind the reactor: reactor metrics in the ledger's registry,
+    /// requests read under the request-frame cap, every frame answered
+    /// by `service`.
+    fn start(
+        ledger: Arc<ConcurrentLedger>,
+        addr: &str,
+        mut config: ReactorConfig,
+        service: impl Service + 'static,
+    ) -> std::io::Result<LedgerServer> {
         config.registry = Some(ledger.metrics().clone());
         config.max_frame = FrameCodec::MAX_REQUEST_FRAME;
-        let registry = ledger.metrics().clone();
-        let ledger_for_conns = ledger.clone();
-        let admitted =
-            service_fn(move |req, ctx: &CallCtx| Ok(ledger_for_conns.handle(req, ctx.now)))
-                .layered(ShedLayer::new(shed).with_registry(registry.clone()))
-                .layered(GovernorLayer::new(governor).with_registry(registry))
-                .boxed();
         let handle = Reactor::bind(
             addr,
             config,
-            Arc::new(move |frame, conn| {
-                let response = match Request::from_bytes(frame) {
-                    Ok(request) => {
-                        let ctx = CallCtx::wall().with_client(conn);
-                        match admitted.call(request, &ctx) {
-                            Ok(response) => response,
-                            // The admission stack never errors today
-                            // (sheds are Ok answers), but keep the wire
-                            // honest if a future layer does.
-                            Err(e) => Response::Error {
-                                code: irs_ledger::codes::UNAVAILABLE,
-                                message: format!("admission: {e}"),
-                            },
-                        }
-                    }
-                    Err(e) => refusal(e),
-                };
-                FrameCodec::response_bytes(&response)
-            }),
+            Arc::new(move |frame, conn| answer(&service, frame, conn)),
         )?;
-        Ok(LedgerServer {
-            ledger,
-            engine: Engine::Reactor(handle),
-        })
-    }
-
-    /// Start on the thread-per-connection baseline engine — kept for the
-    /// E19 reactor-vs-threaded comparison and for environments without a
-    /// working poller.
-    pub fn start_threaded(
-        ledger: Arc<ConcurrentLedger>,
-        addr: &str,
-    ) -> std::io::Result<LedgerServer> {
-        let ledger_for_conns = ledger.clone();
-        let requests = FrameCodec::new(FrameCodec::MAX_REQUEST_FRAME);
-        let responses = FrameCodec::new(FrameCodec::MAX_FRAME);
-        let handle = ServerHandle::spawn(addr, move |mut stream, stop| {
-            // Bound reads so the connection thread notices shutdown.
-            let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
-            loop {
-                if stop.load(std::sync::atomic::Ordering::SeqCst) {
-                    return;
-                }
-                // Requests are small; the tight cap stops a hostile peer
-                // from staging a filter-sized allocation at the server.
-                let frame = match requests.read(&mut stream) {
-                    Ok(f) => f,
-                    Err(crate::NetError::Io(e))
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(_) => return,
-                };
-                let response = serve_frame(&ledger_for_conns, frame);
-                if responses.write(&mut stream, &response).is_err() {
-                    return;
-                }
-            }
-        })?;
-        Ok(LedgerServer {
-            ledger,
-            engine: Engine::Threaded(handle),
-        })
+        Ok(LedgerServer { ledger, handle })
     }
 
     /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
-        match &self.engine {
-            Engine::Reactor(h) => h.addr(),
-            Engine::Threaded(h) => h.addr(),
-        }
+        self.handle.addr()
     }
 
     /// Shared access to the ledger (e.g. to publish filters or apply
@@ -236,28 +129,29 @@ impl LedgerServer {
 
     /// Open connections right now.
     pub fn live_connections(&self) -> usize {
-        match &self.engine {
-            Engine::Reactor(h) => h.live_connections(),
-            Engine::Threaded(h) => h.live_connections(),
-        }
+        self.handle.live_connections()
     }
 
-    /// Serving threads: reactor workers, or one per open connection on
-    /// the threaded baseline.
+    /// Serving threads: the reactor's worker pool.
     pub fn serving_threads(&self) -> usize {
-        match &self.engine {
-            Engine::Reactor(h) => h.workers(),
-            Engine::Threaded(h) => h.live_connections(),
-        }
+        self.handle.workers()
     }
 
     /// Stop the server and join all threads.
     pub fn shutdown(self) {
-        match self.engine {
-            Engine::Reactor(h) => h.shutdown(),
-            Engine::Threaded(h) => h.shutdown(),
-        }
+        self.handle.shutdown();
     }
+}
+
+/// Ledger 1, its timestamp authority seeded with `seed`, served on
+/// `addr` — the fixture the crate's socket tests start from.
+#[cfg(test)]
+pub(crate) fn test_server(seed: u64, addr: &str) -> LedgerServer {
+    let ledger = ConcurrentLedger::new(
+        irs_ledger::LedgerConfig::new(irs_core::ids::LedgerId(1)),
+        irs_core::tsa::TimestampAuthority::from_seed(seed),
+    );
+    LedgerServer::start_shared(Arc::new(ledger), addr).unwrap()
 }
 
 #[cfg(test)]
@@ -267,17 +161,14 @@ mod tests {
     use irs_core::claim::{ClaimRequest, RevocationStatus, RevokeRequest};
     use irs_core::ids::LedgerId;
     use irs_core::tsa::TimestampAuthority;
+    use irs_core::wire::{Request, Response, Wire};
     use irs_crypto::{Digest, Keypair};
     use irs_ledger::LedgerConfig;
 
     const WIRE: FrameCodec = FrameCodec::new(FrameCodec::MAX_FRAME);
 
     fn server() -> LedgerServer {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(1),
-        );
-        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
+        test_server(1, "127.0.0.1:0")
     }
 
     #[test]
@@ -325,7 +216,8 @@ mod tests {
         let proxy = Arc::new(irs_proxy::SharedProxy::new(
             irs_proxy::ProxyConfig::default(),
         ));
-        let proxy = crate::ProxyServer::start_shared(proxy, "127.0.0.1:0", server.addr()).unwrap();
+        let stack = crate::service::stacks::plain_upstream(proxy.clone(), server.addr());
+        let proxy = crate::ProxyServer::start_with_stack(proxy, "127.0.0.1:0", stack).unwrap();
         for addr in [server.addr(), proxy.addr()] {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
             // Protocol version 1, then a tag far beyond anything assigned.
@@ -437,18 +329,6 @@ mod tests {
         assert_eq!(server.live_connections(), 1);
         assert_eq!(server.ledger().store().len(), 4);
         drop(mux);
-        server.shutdown();
-    }
-
-    #[test]
-    fn threaded_baseline_still_serves() {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(8),
-        );
-        let server = LedgerServer::start_threaded(Arc::new(ledger), "127.0.0.1:0").unwrap();
-        let mut client = LedgerClient::connect(server.addr()).unwrap();
-        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
         server.shutdown();
     }
 

@@ -1,18 +1,17 @@
 //! The real-network prototype (§4.3: "we built a prototype ledger and
 //! browser extension that performed revocation checks").
 //!
-//! Two network engines share one wire format and one [`codec`]:
-//!
-//! * The event-loop **reactor** ([`reactor`], [`mux`]) — the production
-//!   path. N worker threads run readiness loops over non-blocking
-//!   sockets; connection count is bounded by memory, not by thread
-//!   count, and clients multiplex pipelined requests over one
-//!   connection. [`LedgerServer`] and [`ProxyServer`] run on it by
-//!   default. DESIGN.md §12 describes the architecture.
-//! * The blocking **thread-per-connection** engine ([`server`],
-//!   [`client`]) — the bootstrap prototype, kept as the comparison
-//!   baseline for experiment E19 and for one-shot tooling where a parked
-//!   thread is the simplest correct answer.
+//! One network engine serves every server, the event-loop **reactor**
+//! ([`reactor`], [`mux`]): N worker threads run readiness loops over
+//! non-blocking sockets; connection count is bounded by memory, not by
+//! thread count, and clients multiplex pipelined requests over one
+//! connection. [`LedgerServer`] and [`ProxyServer`] are reactors with
+//! one [`Service`] behind them, and both answer every frame through one
+//! rule, [`codec::answer`]. DESIGN.md §12 describes the architecture.
+//! Blocking peers ([`client`], the [`chaos`] relay on [`server`]'s
+//! accept-loop harness) speak the same frames through the same
+//! [`codec`]; E19's thread-per-connection baseline is built on that
+//! harness too.
 //!
 //! Shutdown is explicit and joins every worker/connection thread
 //! (structured concurrency: no task outlives its component).
@@ -25,8 +24,8 @@
 //!   dispatch, per-connection state machines, bounded worker pool;
 //! * [`mux`] — the multiplexing client: pipelined requests with
 //!   correlation slots over one shared connection;
-//! * [`server`] — the thread-per-connection accept-loop harness
-//!   (baseline engine);
+//! * [`server`] — the thread-per-connection accept-loop harness (the
+//!   chaos relay's engine and E19's baseline);
 //! * [`ledger_server`] — a shared [`irs_ledger::ConcurrentLedger`]
 //!   behind the wire protocol;
 //! * [`proxy_server`] — a shared [`irs_proxy::SharedProxy`] that answers

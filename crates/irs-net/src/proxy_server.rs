@@ -21,11 +21,10 @@
 //! rungs live in [`crate::service::stacks`] and the ordering rules in
 //! DESIGN.md §10.
 
-use crate::codec::{refusal, FrameCodec};
+use crate::codec::{answer, FrameCodec};
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle};
-use crate::service::{stacks, BoxService, CallCtx, Service};
-use crate::NetError;
-use irs_core::wire::{Request, Response, Wire};
+use crate::service::{service_fn, BoxService, CallCtx, Service};
+use irs_core::wire::{Request, Response};
 use irs_proxy::SharedProxy;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -44,22 +43,12 @@ fn proxy_workers() -> usize {
 }
 
 impl ProxyServer {
-    /// Start a proxy on `addr`, forwarding filter misses to the ledger at
-    /// `upstream` with the plain single-attempt stack. Callers keep their
-    /// own `Arc` to refresh filters from outside the server while it runs.
-    pub fn start_shared(
-        proxy: Arc<SharedProxy>,
-        addr: &str,
-        upstream: SocketAddr,
-    ) -> std::io::Result<ProxyServer> {
-        let stack = stacks::plain_upstream(proxy.clone(), upstream);
-        ProxyServer::start_with_stack(proxy, addr, stack)
-    }
-
-    /// Start serving with an explicit upstream stack — the entry point
-    /// for resilient deployments (and experiment E16). The stack already
-    /// embeds the local answer path when built by
-    /// [`crate::service::stacks`], so the handler just calls it.
+    /// Start serving on `addr`, answering validates through `stack` —
+    /// from [`stacks::plain_upstream`](crate::service::stacks::plain_upstream)
+    /// up to the full degradation ladder. The stacks in
+    /// [`crate::service::stacks`] already embed the local answer path,
+    /// so the handler just calls them. Callers keep their own `Arc` to
+    /// refresh filters from outside the server while it runs.
     pub fn start_with_stack(
         proxy: Arc<SharedProxy>,
         addr: &str,
@@ -79,9 +68,17 @@ impl ProxyServer {
         stack: BoxService,
         workers: usize,
     ) -> std::io::Result<ProxyServer> {
-        let stack: Arc<BoxService> = Arc::new(stack);
         let request_us = proxy.metrics().histogram("irs_proxy_request_us");
         let shared = proxy.clone();
+        let front = service_fn(move |req, ctx: &CallCtx| match req {
+            Request::Query { .. } => stack.call(req, ctx),
+            Request::Ping => Ok(Response::Pong),
+            Request::Metrics => Ok(Response::MetricsText(shared.render_metrics())),
+            _ => Ok(Response::Error {
+                code: irs_ledger::codes::BAD_REQUEST,
+                message: "proxy only serves Query/Ping/Metrics".to_string(),
+            }),
+        });
         let config = ReactorConfig {
             workers: workers.max(1),
             max_frame: FrameCodec::MAX_REQUEST_FRAME,
@@ -93,40 +90,9 @@ impl ProxyServer {
             config,
             Arc::new(move |frame, conn| {
                 let start = std::time::Instant::now();
-                let response = match Request::from_bytes(frame) {
-                    Ok(req @ Request::Query { .. }) => {
-                        // One clock reading per request: every layer sees
-                        // the same instant. The connection id rides along
-                        // so admission layers in the stack can meter
-                        // per-client.
-                        match stack.call(req, &CallCtx::wall().with_client(conn)) {
-                            Ok(response) => response,
-                            // Shed load keeps its admission shape on the
-                            // wire: the browser's retry layer backs off
-                            // by the hint instead of treating a live but
-                            // protecting server as dead.
-                            Err(NetError::Overloaded { retry_after_ms }) => {
-                                Response::Overloaded { retry_after_ms }
-                            }
-                            // A stack without the stale-serve rung lets
-                            // failures surface; the browser gets an
-                            // honest error, never a bogus status.
-                            Err(_) => Response::Error {
-                                code: irs_ledger::codes::UNAVAILABLE,
-                                message: "upstream unavailable".to_string(),
-                            },
-                        }
-                    }
-                    Ok(Request::Ping) => Response::Pong,
-                    Ok(Request::Metrics) => Response::MetricsText(shared.render_metrics()),
-                    Ok(_) => Response::Error {
-                        code: irs_ledger::codes::BAD_REQUEST,
-                        message: "proxy only serves Query/Ping/Metrics".to_string(),
-                    },
-                    Err(e) => refusal(e),
-                };
+                let reply = answer(&front, frame, conn);
                 request_us.record_since(start);
-                FrameCodec::response_bytes(&response)
+                reply
             }),
         )?;
         Ok(ProxyServer { proxy, handle })
@@ -158,26 +124,28 @@ impl ProxyServer {
 mod tests {
     use super::*;
     use crate::client::LedgerClient;
-    use crate::ledger_server::LedgerServer;
+    use crate::ledger_server::test_server;
     use crate::resilient::RetryPolicy;
+    use crate::service::stacks;
     use irs_core::claim::{ClaimRequest, RevocationStatus};
     use irs_core::ids::{LedgerId, RecordId};
     use irs_core::time::TimeMs;
-    use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Response};
     use irs_crypto::{Digest, Keypair};
     use irs_filters::BloomFilter;
-    use irs_ledger::{ConcurrentLedger, LedgerConfig};
     use irs_proxy::ProxyConfig;
+
+    /// A proxy on the plain single-attempt stack.
+    fn plain(proxy: SharedProxy, upstream: SocketAddr) -> ProxyServer {
+        let proxy = Arc::new(proxy);
+        let stack = stacks::plain_upstream(proxy.clone(), upstream);
+        ProxyServer::start_with_stack(proxy, "127.0.0.1:0", stack).unwrap()
+    }
 
     /// Full bootstrap chain over loopback: browser → proxy → ledger.
     #[test]
     fn proxy_chain_end_to_end() {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(1),
-        );
-        let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+        let ledger_server = test_server(1, "127.0.0.1:0");
 
         // Owner claims a photo directly at the ledger.
         let mut owner = LedgerClient::connect(ledger_server.addr()).unwrap();
@@ -198,9 +166,7 @@ mod tests {
         proxy
             .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
             .unwrap();
-        let proxy_server =
-            ProxyServer::start_shared(Arc::new(proxy), "127.0.0.1:0", ledger_server.addr())
-                .unwrap();
+        let proxy_server = plain(proxy, ledger_server.addr());
 
         // Browser queries through the proxy.
         let mut browser = LedgerClient::connect(proxy_server.addr()).unwrap();
@@ -239,17 +205,11 @@ mod tests {
 
     #[test]
     fn proxy_rejects_non_query_requests() {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(2),
-        );
-        let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
-        let proxy_server = ProxyServer::start_shared(
-            Arc::new(SharedProxy::new(ProxyConfig::default())),
-            "127.0.0.1:0",
+        let ledger_server = test_server(2, "127.0.0.1:0");
+        let proxy_server = plain(
+            SharedProxy::new(ProxyConfig::default()),
             ledger_server.addr(),
-        )
-        .unwrap();
+        );
         let mut client = LedgerClient::connect(proxy_server.addr()).unwrap();
         let kp = Keypair::from_seed(&[3u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"x"));
@@ -275,7 +235,7 @@ mod tests {
         proxy
             .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
             .unwrap();
-        let proxy_server = ProxyServer::start_shared(Arc::new(proxy), "127.0.0.1:0", dead).unwrap();
+        let proxy_server = plain(proxy, dead);
         let mut client = LedgerClient::connect(proxy_server.addr()).unwrap();
         let miss = RecordId::new(LedgerId(1), 424_242);
         assert!(matches!(
@@ -301,11 +261,7 @@ mod tests {
     /// uncached id comes back `Unavailable`, never a bogus status.
     #[test]
     fn dead_upstream_serves_stale_then_unavailable() {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(3),
-        );
-        let ledger_server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+        let ledger_server = test_server(3, "127.0.0.1:0");
         let upstream_addr = ledger_server.addr();
 
         // A real claimed record (so the upstream query has an answer) and

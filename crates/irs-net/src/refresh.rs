@@ -295,9 +295,10 @@ impl WorkerShared {
 ///
 /// One thread per shard: each shard's filter version, failure counters,
 /// and backoff schedule are independent, so a down shard retries on its
-/// own shrinking-then-doubling schedule (starting at 1/8 of the
-/// interval, capped at the full interval) while every healthy shard
-/// keeps its steady-state cadence. Each round refreshes tiered-first
+/// own backoff schedule (a quarter of the interval after the first
+/// failure, half after the second, the full interval from the third
+/// on) while every healthy shard keeps its steady-state cadence. Each
+/// round refreshes tiered-first
 /// ([`refresh_shared_filter_tiered`]'s flow, over a `Retry(Failover)`
 /// stack) and installs into the shard's own per-ledger slot of the
 /// [`FilterSet`] — filters are per-ledger already, so shard-awareness is
@@ -461,12 +462,7 @@ fn run_shard(
                 st.failures.inc();
                 shared.failures.inc();
                 st.consecutive_failures.add(1);
-                let run = st.consecutive_failures.get() as u32;
-                // Backed-off retry, capped at the normal period.
-                (interval / 8)
-                    .max(Duration::from_millis(10))
-                    .saturating_mul(1u32 << run.min(3))
-                    .min(interval)
+                backoff(interval, st.consecutive_failures.get() as u32)
             }
         };
         shared.update_consecutive();
@@ -483,16 +479,48 @@ fn run_shard(
     }
 }
 
+/// The wait before retrying after the `run`-th consecutive failed
+/// round (`run >= 1`): an eighth of `interval` (at least 10 ms),
+/// doubled once per failure in the run, capped at `interval`.
+fn backoff(interval: Duration, run: u32) -> Duration {
+    (interval / 8)
+        .max(Duration::from_millis(10))
+        .saturating_mul(1u32 << run.min(3))
+        .min(interval)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger_server::LedgerServer;
+    use crate::ledger_server::{test_server, LedgerServer};
     use irs_core::camera::Camera;
     use irs_core::claim::RevokeRequest;
     use irs_core::time::TimeMs;
     use irs_core::tsa::TimestampAuthority;
     use irs_ledger::{ConcurrentLedger, LedgerConfig};
     use irs_proxy::{LookupOutcome, ProxyConfig};
+
+    /// A failing shard waits a quarter, then half, then the whole
+    /// interval — never longer.
+    #[test]
+    fn backoff_climbs_from_a_quarter_to_the_full_interval() {
+        let interval = Duration::from_secs(8);
+        let waits: Vec<_> = (1..=5).map(|run| backoff(interval, run)).collect();
+        assert_eq!(
+            waits,
+            [
+                Duration::from_secs(2),
+                Duration::from_secs(4),
+                Duration::from_secs(8),
+                Duration::from_secs(8),
+                Duration::from_secs(8),
+            ]
+        );
+        // Short test intervals keep the 10 ms floor, still capped.
+        let short = Duration::from_millis(40);
+        assert_eq!(backoff(short, 1), Duration::from_millis(20));
+        assert_eq!(backoff(short, 2), short);
+    }
 
     #[test]
     fn full_then_current_over_wire() {
@@ -739,11 +767,7 @@ mod tests {
 
     #[test]
     fn unpublished_filter_is_an_error() {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(10),
-        );
-        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+        let server = test_server(10, "127.0.0.1:0");
         let mut client = LedgerClient::connect(server.addr()).unwrap();
         let proxy = SharedProxy::new(ProxyConfig::default());
         assert!(refresh_shared_filter(&proxy, &mut client, LedgerId(1)).is_err());

@@ -180,12 +180,9 @@ impl<S: Service> Service for Retry<S> {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosConfig, ChaosProxy, FaultMode};
-    use crate::ledger_server::LedgerServer;
+    use crate::ledger_server::{test_server, LedgerServer};
     use crate::service::{service_fn, stacks, Failover, ServiceExt, TcpTransport};
-    use irs_core::ids::LedgerId;
     use irs_core::time::TimeMs;
-    use irs_core::tsa::TimestampAuthority;
-    use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
     #[test]
     fn succeeds_after_transient_failures() {
@@ -370,11 +367,7 @@ mod tests {
     }
 
     fn ledger_server() -> LedgerServer {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(0x2E5),
-        );
-        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
+        test_server(0x2E5, "127.0.0.1:0")
     }
 
     /// A reserved port with nothing listening: connects are refused.

@@ -361,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn get_shard_map_is_answered_locally() {
+    fn shard_map_request_is_answered_locally() {
         let (route, calls) = echo_route(map(5, &[1]));
         let resp = route
             .call(Request::GetShardMap, &CallCtx::at(TimeMs(0)))

@@ -67,12 +67,7 @@ pub fn full_upstream(
     replicas: Vec<SocketAddr>,
     retry: RetryPolicy,
 ) -> BoxService {
-    Failover::new(transports(&replicas, retry.io_timeout))
-        .layered(RetryLayer::new(retry))
-        .layered(BreakerLayer::new(proxy.clone()))
-        .layered(StaleServeLayer::new(proxy.clone()))
-        .layered(CacheLayer::new(proxy))
-        .boxed()
+    full_over(proxy, transports(&replicas, retry.io_timeout), retry)
 }
 
 /// [`full_upstream`] over caller-supplied transports — experiments
@@ -133,12 +128,7 @@ pub fn storm_over<S: Service + Send + Sync + 'static>(
     shed: ShedPolicy,
 ) -> BoxService {
     let registry = proxy.metrics().clone();
-    Failover::new(transports)
-        .layered(RetryLayer::new(retry))
-        .layered(BreakerLayer::new(proxy.clone()))
-        .layered(StaleServeLayer::new(proxy.clone()))
-        .layered(SingleFlightLayer::new().with_registry(registry.clone()))
-        .layered(CacheLayer::new(proxy))
+    coalescing_over(proxy, transports, retry)
         .layered(ShedLayer::new(shed).with_registry(registry.clone()))
         .layered(GovernorLayer::new(governor).with_registry(registry))
         .boxed()
@@ -194,15 +184,13 @@ pub fn sharded_full_upstream(proxy: Arc<SharedProxy>, map: ShardMap, retry: Retr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger_server::LedgerServer;
+    use crate::ledger_server::test_server;
     use crate::service::{CallCtx, Service};
     use irs_core::claim::{ClaimRequest, RevocationStatus};
     use irs_core::ids::LedgerId;
-    use irs_core::tsa::TimestampAuthority;
     use irs_core::wire::{Request, Response};
     use irs_crypto::{Digest, Keypair};
     use irs_filters::BloomFilter;
-    use irs_ledger::{ConcurrentLedger, LedgerConfig};
     use irs_proxy::ProxyConfig;
 
     /// End-to-end over loopback: a full stack answers locally, goes
@@ -211,11 +199,7 @@ mod tests {
     /// does through the proxy server, here against the bare stack.
     #[test]
     fn full_stack_walks_the_ladder() {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(31),
-        );
-        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+        let server = test_server(31, "127.0.0.1:0");
         let mut owner = crate::client::LedgerClient::connect(server.addr()).unwrap();
         let kp = Keypair::from_seed(&[7u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"stacked"));
@@ -264,11 +248,7 @@ mod tests {
     fn full_stack_traced_query_attributes_every_layer() {
         use irs_obs::SpanRecorder;
 
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(32),
-        );
-        let server = LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap();
+        let server = test_server(32, "127.0.0.1:0");
         let mut owner = crate::client::LedgerClient::connect(server.addr()).unwrap();
         let kp = Keypair::from_seed(&[8u8; 32]);
         let claim = ClaimRequest::create(&kp, &Digest::of(b"traced"));

@@ -143,18 +143,11 @@ impl Service for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger_server::LedgerServer;
-    use irs_core::ids::LedgerId;
+    use crate::ledger_server::{test_server, LedgerServer};
     use irs_core::time::TimeMs;
-    use irs_core::tsa::TimestampAuthority;
-    use irs_ledger::{ConcurrentLedger, LedgerConfig};
 
     fn ledger_server() -> LedgerServer {
-        let ledger = ConcurrentLedger::new(
-            LedgerConfig::new(LedgerId(1)),
-            TimestampAuthority::from_seed(0x7C9),
-        );
-        LedgerServer::start_shared(Arc::new(ledger), "127.0.0.1:0").unwrap()
+        test_server(0x7C9, "127.0.0.1:0")
     }
 
     #[test]
@@ -178,13 +171,7 @@ mod tests {
         assert_eq!(t.call(Request::Ping, &ctx).unwrap(), Response::Pong);
         server.shutdown();
         assert!(t.call(Request::Ping, &ctx).is_err());
-        let server = {
-            let ledger = ConcurrentLedger::new(
-                LedgerConfig::new(LedgerId(1)),
-                TimestampAuthority::from_seed(0x7C9),
-            );
-            LedgerServer::start_shared(Arc::new(ledger), &addr.to_string()).unwrap()
-        };
+        let server = { test_server(0x7C9, &addr.to_string()) };
         assert_eq!(t.call(Request::Ping, &ctx).unwrap(), Response::Pong);
         assert!(t.reconnects() >= 1);
         server.shutdown();

@@ -8,6 +8,7 @@
 
 use irs::filters::BloomFilter;
 use irs::ledger::{ConcurrentLedger, LedgerConfig};
+use irs::net::service::stacks;
 use irs::net::{LedgerClient, LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
@@ -61,8 +62,9 @@ fn main() {
     proxy
         .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
         .expect("install filter");
-    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr())
-        .expect("proxy server");
+    let stack = stacks::plain_upstream(proxy.clone(), ledger_server.addr());
+    let proxy_server =
+        ProxyServer::start_with_stack(proxy, "127.0.0.1:0", stack).expect("proxy server");
     println!("proxy listening on {}", proxy_server.addr());
 
     // The "browser": validate a mix of claimed, revoked, and unclaimed

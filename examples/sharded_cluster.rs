@@ -39,7 +39,8 @@ fn main() {
             LedgerConfig::new(LedgerId(i)),
             TimestampAuthority::from_seed(u64::from(i)),
         ));
-        let server = LedgerServer::start_sharded(ledger, "127.0.0.1:0", dir.clone()).unwrap();
+        ledger.set_shard_directory(dir.clone()).unwrap();
+        let server = LedgerServer::start_shared(ledger, "127.0.0.1:0").unwrap();
         println!("shard {i} listening on {}", server.addr());
         servers.push(server);
         dirs.push(dir);

@@ -7,6 +7,7 @@
 use irs::crypto::{Digest, Keypair};
 use irs::filters::BloomFilter;
 use irs::ledger::{ConcurrentLedger, LedgerConfig};
+use irs::net::service::stacks;
 use irs::net::{LedgerClient, LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
@@ -151,7 +152,8 @@ fn hammer_ledger_and_proxy_under_concurrency() {
     proxy
         .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
         .unwrap();
-    let proxy_server = ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_addr).unwrap();
+    let stack = stacks::plain_upstream(proxy.clone(), ledger_addr);
+    let proxy_server = ProxyServer::start_with_stack(proxy, "127.0.0.1:0", stack).unwrap();
     let proxy_addr = proxy_server.addr();
 
     // Warm pass: one browser visits every record serially, forwarding

@@ -4,6 +4,7 @@
 
 use irs::filters::BloomFilter;
 use irs::ledger::{ConcurrentLedger, LedgerConfig};
+use irs::net::service::stacks;
 use irs::net::{LedgerClient, LedgerServer, ProxyServer};
 use irs::protocol::ids::{LedgerId, RecordId};
 use irs::protocol::wire::{Request, Response};
@@ -46,8 +47,8 @@ fn tcp_chain_blocks_revoked_and_reduces_load() {
     proxy
         .update_filters(|fs| fs.apply_full(LedgerId(1), 1, filter.to_bytes()))
         .unwrap();
-    let proxy_server =
-        ProxyServer::start_shared(proxy, "127.0.0.1:0", ledger_server.addr()).unwrap();
+    let stack = stacks::plain_upstream(proxy.clone(), ledger_server.addr());
+    let proxy_server = ProxyServer::start_with_stack(proxy, "127.0.0.1:0", stack).unwrap();
 
     // Browse all photos through the proxy.
     let mut browser = LedgerClient::connect(proxy_server.addr()).unwrap();

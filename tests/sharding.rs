@@ -40,7 +40,8 @@ fn two_shard_cluster() -> (LedgerServer, LedgerServer, ShardMap) {
                 LedgerConfig::new(LedgerId(i as u16 + 1)),
                 TimestampAuthority::from_seed(0x515 + i as u64),
             ));
-            LedgerServer::start_sharded(ledger, "127.0.0.1:0", dir.clone()).unwrap()
+            ledger.set_shard_directory(dir.clone()).unwrap();
+            LedgerServer::start_shared(ledger, "127.0.0.1:0").unwrap()
         })
         .collect();
     let map = ShardMap::new(
@@ -174,7 +175,7 @@ fn current_epoch_client_routes_cleanly_and_reads_the_map_over_the_wire() {
 
     // Raw wire read of the directory from either shard.
     let mut client = LedgerClient::connect(s2.addr()).unwrap();
-    let Ok(Response::ShardMap { epoch, data }) = client.get_shard_map() else {
+    let Ok(Response::ShardMap { epoch, data }) = client.call(&Request::GetShardMap) else {
         panic!("GetShardMap failed over the wire");
     };
     assert_eq!(epoch, 2);
